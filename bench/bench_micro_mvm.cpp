@@ -570,11 +570,13 @@ Json bench_pulse_mvm(const HarnessConfig& hc, bool device_model,
 }
 
 /// Bit-packed XNOR/popcount MVM vs the cached float-panel route over the
-/// same ±1 weight and on-grid activations (DESIGN.md §8), with three hard
+/// same ±1 weight and on-grid activations (DESIGN.md §8), with four hard
 /// gates: the binary result must equal the float oracle bitwise, the
-/// dispatched micro-kernel must equal the scalar reference bitwise, and a
-/// BinaryPanelCache must pack exactly once per weight version (the serving
-/// steady state re-packs nothing).
+/// dispatched micro-kernel must equal the scalar reference bitwise, the
+/// dispatched A-side encoders (pack_binary_a, and level codes then planes)
+/// must equal the scalar encoder bitwise, and a BinaryPanelCache
+/// must pack exactly once per weight version (the serving steady state
+/// re-packs nothing).
 Json bench_gemm_binary(const HarnessConfig& hc, std::size_t pool_threads,
                        bool* gate_ok) {
   const std::size_t m = hc.bin_batch, n = hc.bin_out, k = hc.bin_in;
@@ -594,6 +596,30 @@ Json bench_gemm_binary(const HarnessConfig& hc, std::size_t pool_threads,
   const gemm::PackedBinaryB bwords =
       gemm::prepack_binary_b_t(n, k, std::as_const(w).data(), k);
   std::vector<std::uint64_t> pa(gemm::packed_binary_a_words(m, k));
+
+  // Encoder gate: the dispatched encoders against the scalar reference.
+  bool encoder_match = true;
+  std::vector<std::uint8_t> codes(m * k);
+  {
+    std::vector<std::uint64_t> pa_scalar(pa.size()), pa_codes(pa.size());
+    encoder_match =
+        gemm::pack_binary_a(m, k, a.data(), k, pa.data()) &&
+        gemm::pack_binary_a_with(gemm::binary_kernel_scalar(), m, k, a.data(),
+                                 k, pa_scalar.data()) &&
+        gemm::binary_grid_codes(a.data(), m * k, codes.data()) &&
+        pa == pa_scalar;
+    if (encoder_match) {
+      gemm::pack_binary_codes(m, k, codes.data(), k, pa_codes.data());
+      encoder_match = pa_codes == pa_scalar;
+    }
+    if (!encoder_match) {
+      std::fprintf(stderr,
+                   "gemm_binary GATE FAILURE: dispatched encoder '%s' diverged "
+                   "from the scalar encoder bitwise\n",
+                   gemm::binary_kernel_name());
+      *gate_ok = false;
+    }
+  }
 
   bool match = true;
   auto check = [&](const char* when) {
@@ -677,6 +703,17 @@ Json bench_gemm_binary(const HarnessConfig& hc, std::size_t pool_threads,
   const double t_kernel_1t = time_best(hc.reps, [&] {
     gemm::gemm_binary(m, n, k, pa.data(), bwords, c_bin.data(), n);
   });
+  // The A-side encode as the conv route runs it: one validating pass to
+  // level codes, then planes from the codes (the patch gather between the
+  // two is not timed). pack_binary_a, the linear layer's encode, runs the
+  // same two steps row by row.
+  const double t_pack_1t = time_best(hc.reps, [&] {
+    (void)gemm::binary_grid_codes(a.data(), m * k, codes.data());
+    gemm::pack_binary_codes(m, k, codes.data(), k, pa.data());
+  });
+  const double t_pack_linear_1t = time_best(hc.reps, [&] {
+    (void)gemm::pack_binary_a(m, k, a.data(), k, pa.data());
+  });
   pool.set_num_threads(pool_threads);
   check("pool threads");
   const double t_float_mt = time_best(hc.reps, [&] {
@@ -696,10 +733,14 @@ Json bench_gemm_binary(const HarnessConfig& hc, std::size_t pool_threads,
   out.set("cpu_features", gemm::cpu_features());
   out.set("bitwise_match", match);
   out.set("repack_once", repack_once);
+  out.set("encoder_match", encoder_match);
   out.set("float_packed_1t_ms", t_float_1t * 1e3);
   out.set("binary_cold_1t_ms", t_cold_1t * 1e3);
   out.set("binary_cached_1t_ms", t_cached_1t * 1e3);
   out.set("binary_kernel_only_1t_ms", t_kernel_1t * 1e3);
+  out.set("t_pack_1t", t_pack_1t * 1e6);  // microseconds
+  out.set("t_pack_linear_1t", t_pack_linear_1t * 1e6);
+  out.set("pack_share_1t", t_pack_1t / (t_pack_1t + t_kernel_1t));
   out.set("float_packed_mt_ms", t_float_mt * 1e3);
   out.set("binary_cached_mt_ms", t_cached_mt * 1e3);
   out.set("gflops_float_1t", gflops(flops, t_float_1t));

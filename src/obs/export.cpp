@@ -21,6 +21,7 @@ bool is_span(EventType t) {
     case EventType::kGemm:
     case EventType::kBinaryMvm:
     case EventType::kPulseEncode:
+    case EventType::kBinaryPack:
       return true;
     default:
       return false;
@@ -29,7 +30,7 @@ bool is_span(EventType t) {
 
 bool is_kernel(EventType t) {
   return t == EventType::kGemm || t == EventType::kBinaryMvm ||
-         t == EventType::kPulseEncode;
+         t == EventType::kPulseEncode || t == EventType::kBinaryPack;
 }
 
 }  // namespace

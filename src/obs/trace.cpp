@@ -31,6 +31,7 @@ const char* event_name(EventType t) {
     case EventType::kBinaryMvm: return "binary_mvm";
     case EventType::kPulseEncode: return "pulse_encode";
     case EventType::kArenaAlloc: return "arena_alloc";
+    case EventType::kBinaryPack: return "binary_pack";
     case EventType::kCount: break;
   }
   return "?";

@@ -72,6 +72,7 @@ enum class EventType : std::uint8_t {
   kBinaryMvm = 14,    // span: XNOR/popcount MVM, arg=2*m*n*k
   kPulseEncode = 15,  // span: pulse-train encode, arg=pulses encoded
   kArenaAlloc = 16,   // instant: arena system alloc, arg=bytes
+  kBinaryPack = 17,   // span: A-side thermometer encode, arg=lanes encoded
   kCount
 };
 

@@ -1,10 +1,12 @@
 #include "quant/quant_layers.hpp"
 
+#include "obs/trace.hpp"
 #include "quant/binary_weight.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/gemm_binary.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -59,7 +61,7 @@ void BinaryPanelCache::get(const Tensor& latent, bool scaled, std::size_t n,
                            std::size_t k, bool want_panels, const float** bw,
                            const float** panels,
                            const gbo::gemm::PackedBinaryB** bwords,
-                           float* scale) const {
+                           float* scale, std::size_t taps) const {
   gate_.ensure(latent.version(), [&] {
     bw_.resize(latent.numel());
     // Unscaled ±1 signs: the MVM runs over these (float panels and binary
@@ -71,7 +73,17 @@ void BinaryPanelCache::get(const Tensor& latent, bool scaled, std::size_t n,
       panels_.resize(gemm::packed_b_floats(n, k));
       gemm::pack_b_t(n, k, bw_.data(), k, panels_.data());
     }
-    bwords_ = gemm::prepack_binary_b_t(n, k, bw_.data(), k);
+    if (taps > 1) {
+      const std::size_t ch = k / taps;
+      std::vector<float> tap_major(n * k);
+      for (std::size_t j = 0; j < n; ++j)
+        for (std::size_t c = 0; c < ch; ++c)
+          for (std::size_t t = 0; t < taps; ++t)
+            tap_major[j * k + t * ch + c] = bw_[j * k + c * taps + t];
+      bwords_ = gemm::prepack_binary_b_t(n, k, tap_major.data(), k);
+    } else {
+      bwords_ = gemm::prepack_binary_b_t(n, k, bw_.data(), k);
+    }
     rebuilds_.fetch_add(1, std::memory_order_relaxed);
   });
   *bw = bw_.data();
@@ -124,39 +136,61 @@ Tensor QuantConv2d::infer_mvm(const Tensor& x, gbo::nn::EvalContext& ctx,
                               const float* bw, const float* panels,
                               const gbo::gemm::PackedBinaryB& bwords) const {
   // XNOR/popcount route (DESIGN.md §8): every im2col patch value is either
-  // an input element or zero padding (on-grid), so a scan of the NCHW input
-  // decides the route before any patch matrix is materialized. Off-grid
-  // inputs (the raw-image stem, PLA-requantized activations) take the float
-  // panel route — bitwise equal for on-grid data, so the dispatch can never
-  // change an output bit.
-  if (x.ndim() == 4 && !bwords.empty() &&
-      gemm::binary_grid_check(x.data(), x.numel())) {
+  // an input element or zero padding (level 4), so one validating pass over
+  // the NCHW input turns it into level codes, and the patches are gathered
+  // and bit-plane encoded from those bytes — each element is checked once,
+  // not once per patch. The patches use the tap-major lane order the cache
+  // packed the sign words in. Off-grid inputs (the raw-image stem,
+  // PLA-requantized activations) take the float panel route — bitwise equal
+  // for on-grid data, so the dispatch can never change an output bit.
+  if (x.ndim() == 4 && x.dim(1) == geom_.in_c && x.dim(2) == geom_.in_h &&
+      x.dim(3) == geom_.in_w && !bwords.empty()) {
     const std::size_t batch = x.dim(0);
     const std::size_t oh = geom_.out_h(), ow = geom_.out_w();
     const std::size_t m = batch * oh * ow;
     const std::size_t k = geom_.patch_len();
     gbo::ArenaFrame frame(ctx.arena);
-    Tensor cols_own, rows_own;
-    std::vector<std::uint64_t> pa_own;
-    float* cols;
-    float* rows;
-    std::uint64_t* pa;
+    // The validating pass decides the route before anything else is
+    // allocated (an off-grid input usually fails in its first chunk).
+    std::unique_ptr<std::uint8_t[]> codes_own;
+    std::uint8_t* codes;
     if (ctx.arena) {
-      cols = ctx.arena->alloc_floats(m * k);
-      rows = ctx.arena->alloc_floats(m * out_c_);
-      pa = ctx.arena->alloc_words(gemm::packed_binary_a_words(m, k));
+      codes = ctx.arena->alloc_u8(x.numel());
     } else {
-      cols_own = Tensor({m, k});
-      cols = cols_own.data();
-      rows_own = Tensor({m, out_c_});
-      rows = rows_own.data();
-      pa_own.resize(gemm::packed_binary_a_words(m, k));
-      pa = pa_own.data();
+      codes_own.reset(new std::uint8_t[x.numel()]);
+      codes = codes_own.get();
     }
-    im2col_into(x, geom_, cols);
-    // The grid check covered every patch source value, so the fused
-    // validate+encode cannot fail here.
-    if (gemm::pack_binary_a(m, k, cols, k, pa)) {
+    if (gemm::binary_grid_codes(x.data(), x.numel(), codes)) {
+      // The padded NHWC copy and the patch codes share one byte buffer.
+      const std::size_t hwc = gbo::padded_hwc_bytes(batch, geom_);
+      const std::size_t pa_words = gemm::packed_binary_a_words(m, k);
+      std::unique_ptr<std::uint8_t[]> bytes_own;
+      Tensor rows_own;
+      std::vector<std::uint64_t> pa_own;
+      std::uint8_t* bytes;
+      float* rows;
+      std::uint64_t* pa;
+      if (ctx.arena) {
+        bytes = ctx.arena->alloc_u8(hwc + m * k);
+        rows = ctx.arena->alloc_floats(m * out_c_);
+        pa = ctx.arena->alloc_words(pa_words);
+      } else {
+        bytes_own.reset(new std::uint8_t[hwc + m * k]);
+        bytes = bytes_own.get();
+        rows_own = Tensor({m, out_c_});
+        rows = rows_own.data();
+        pa_own.resize(pa_words);
+        pa = pa_own.data();
+      }
+      {
+        GBO_TRACE_SPAN(obs::EventType::kBinaryPack, m,
+                       static_cast<std::uint16_t>(k < 65535 ? k : 65535),
+                       m * k);
+        constexpr std::uint8_t kZeroLevel = 4;  // 0.0f = (2·4 - 8) / 8
+        gbo::im2col_codes_into(codes, batch, geom_, kZeroLevel, bytes,
+                               bytes + hwc);
+        gemm::pack_binary_codes(m, k, bytes + hwc, k, pa);
+      }
       gemm::gemm_binary(m, out_c_, k, pa, bwords, rows, out_c_);
       Tensor out = ctx.make({batch, out_c_, oh, ow});
       gbo::rows_to_nchw_into(rows, batch, out_c_, oh, ow, out.data());
@@ -178,7 +212,8 @@ Tensor QuantConv2d::infer(const Tensor& x, gbo::nn::EvalContext& ctx) const {
   const gemm::PackedBinaryB* bwords;
   float scale;
   cache_.get(weight_.value, scaled_, out_c_, geom_.patch_len(),
-             /*want_panels=*/true, &bw, &panels, &bwords, &scale);
+             /*want_panels=*/true, &bw, &panels, &bwords, &scale,
+             /*taps=*/geom_.k * geom_.k);
   if (!hook_) {
     Tensor out = infer_mvm(x, ctx, bw, panels, *bwords);
     scale_output(out, scaled_, scale);

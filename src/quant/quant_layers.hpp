@@ -108,10 +108,14 @@ class BinaryPanelCache {
   /// when `want_panels` — its packed float panels ([n, k] transposed-weight
   /// layout) in *panels; all rebuilt only when latent.version() moved.
   /// `want_panels` must be constant per cache (it is: the owning layer
-  /// derives it from its fixed shape).
+  /// derives it from its fixed shape). `taps` > 1 (a conv layer's k·k)
+  /// packs the sign words in the tap-major lane order of the binary conv
+  /// route (im2col_codes_into): lane tap·(k / taps) + c holds latent column
+  /// c·taps + tap. *bw and *panels keep the latent's own order.
   void get(const Tensor& latent, bool scaled, std::size_t n, std::size_t k,
            bool want_panels, const float** bw, const float** panels,
-           const gbo::gemm::PackedBinaryB** bwords, float* scale) const;
+           const gbo::gemm::PackedBinaryB** bwords, float* scale,
+           std::size_t taps = 1) const;
 
   /// Lifetime rebuild count (1 after warmup for a frozen weight).
   std::uint64_t rebuilds() const {

@@ -56,6 +56,11 @@ std::uint64_t* ScratchArena::alloc_words(std::size_t n) {
       alloc_bytes(n * sizeof(std::uint64_t)));
 }
 
+std::uint8_t* ScratchArena::alloc_u8(std::size_t n) {
+  if (n == 0) return nullptr;
+  return reinterpret_cast<std::uint8_t*>(alloc_bytes(n));
+}
+
 Tensor ScratchArena::take_pooled(std::size_t numel) {
   if (pool_.empty()) {
     ++stats_.system_allocs;

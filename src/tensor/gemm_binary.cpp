@@ -51,7 +51,61 @@ void xpr_scalar(const std::uint64_t* a, const std::uint64_t* W, std::size_t n,
   for (std::size_t j = 0; j < n; ++j) pops[j] = xp1_scalar(a, W + j * kw, kw);
 }
 
+// ---- A-side encoders -----------------------------------------------------
+//
+// The encode is two steps, each working in 64-lane chunks: grid_codes
+// evaluates grid_level's exact predicate per lane and turns the chunk into
+// level codes 0..8; encode_codes_row emits plane t of a chunk, one word, as
+// the lane mask of (level > t). Lanes past the row end read as level 0
+// (code 0), so padding bits stay zero.
+
+/// Level 0..8 of an on-grid value, -1 otherwise. (x + 1)·4 alone is not a
+/// sufficient test: the addition ROUNDS, so a tiny off-grid value (e.g.
+/// 1e-8) lands on an integer — the reconstruction comparison is what makes
+/// the test exact (grid values round-trip exactly; NaN fails the range
+/// comparison). The SIMD encoders evaluate these same comparisons per lane.
+int grid_level(float x) {
+  const float lf = (x + 1.0f) * 4.0f;
+  if (!(lf >= 0.0f && lf <= 8.0f)) return -1;
+  const int lvl = static_cast<int>(lf);
+  if (static_cast<float>(lvl) != lf) return -1;
+  if (static_cast<float>(lvl) * 0.25f - 1.0f != x) return -1;
+  return lvl;
+}
+
+bool grid_codes_scalar(const float* x, std::size_t n, std::uint8_t* codes) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const int lvl = grid_level(x[i]);
+    if (lvl < 0) return false;
+    codes[i] = static_cast<std::uint8_t>(lvl);
+  }
+  return true;
+}
+
+/// Plane words of one chunk of `len` (<= 64) codes, accumulated in
+/// registers and stored once each at planes[t·kw].
+void planes64_scalar(const std::uint8_t* c, std::size_t len,
+                     std::uint64_t* planes, std::size_t kw) {
+  std::uint64_t pl[kBinaryPlanes] = {0};
+  for (std::size_t i = 0; i < len; ++i)
+    for (unsigned t = 0; t < c[i]; ++t) pl[t] |= 1ull << i;
+  for (std::size_t t = 0; t < kBinaryPlanes; ++t) planes[t * kw] = pl[t];
+}
+
+void encode_codes_row_scalar(const std::uint8_t* c, std::size_t k,
+                             std::uint64_t* planes, std::size_t ldp) {
+  for (std::size_t w = 0; w < binary_words(k); ++w)
+    planes64_scalar(c + w * 64, std::min<std::size_t>(64, k - w * 64),
+                    planes + w, ldp);
+}
+
 #if defined(GBO_BINARY_X86)
+
+// GCC 12's AVX-512 intrinsic headers seed results with self-initialized
+// _mm512_undefined_*() values, a known -Wmaybe-uninitialized false positive
+// once they inline here.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
 // AVX2 has no vector popcount; the classic vpshufb nibble LUT counts bits in
 // each byte, then _mm256_sad_epu8 horizontally folds bytes into four 64-bit
@@ -204,6 +258,174 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) void xpr_avx512(
   }
 }
 
+// AVX2 encoders: 8 float lanes per compare, movemask_ps collects the
+// failing lanes; levels narrow to bytes through packs/packus, and each plane
+// word is two byte compares + movemask_epi8.
+__attribute__((target("avx2"))) inline __m256i levels8_avx2(__m256 x,
+                                                            int* bad) {
+  const __m256 lf = _mm256_mul_ps(_mm256_add_ps(x, _mm256_set1_ps(1.0f)),
+                                  _mm256_set1_ps(4.0f));
+  const __m256i lvl = _mm256_cvttps_epi32(lf);
+  const __m256 lvlf = _mm256_cvtepi32_ps(lvl);
+  __m256 ok = _mm256_and_ps(_mm256_cmp_ps(lf, _mm256_setzero_ps(), _CMP_GE_OQ),
+                            _mm256_cmp_ps(lf, _mm256_set1_ps(8.0f), _CMP_LE_OQ));
+  ok = _mm256_and_ps(ok, _mm256_cmp_ps(lvlf, lf, _CMP_EQ_OQ));
+  const __m256 back = _mm256_sub_ps(_mm256_mul_ps(lvlf, _mm256_set1_ps(0.25f)),
+                                    _mm256_set1_ps(1.0f));
+  ok = _mm256_and_ps(ok, _mm256_cmp_ps(back, x, _CMP_EQ_OQ));
+  *bad |= _mm256_movemask_ps(ok) ^ 0xff;
+  return lvl;
+}
+
+/// 32 lanes of x as 32 level bytes in lane order.
+__attribute__((target("avx2"))) inline __m256i levels32_avx2(const float* x,
+                                                             int* bad) {
+  const __m256i ab =
+      _mm256_packs_epi32(levels8_avx2(_mm256_loadu_ps(x), bad),
+                         levels8_avx2(_mm256_loadu_ps(x + 8), bad));
+  const __m256i cd =
+      _mm256_packs_epi32(levels8_avx2(_mm256_loadu_ps(x + 16), bad),
+                         levels8_avx2(_mm256_loadu_ps(x + 24), bad));
+  // packs/packus work per 128-bit half; the permute restores lane order.
+  return _mm256_permutevar8x32_epi32(_mm256_packus_epi16(ab, cd),
+                                     _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
+}
+
+/// Level bytes of one chunk of `len` lanes; a partial chunk is first copied
+/// into a buffer padded with -1.0f (level 0). False if a lane is off-grid.
+__attribute__((target("avx2"))) inline bool codes64_avx2(const float* x,
+                                                         std::size_t len,
+                                                         __m256i* lo,
+                                                         __m256i* hi) {
+  alignas(32) float pad[64];
+  if (len < 64) {
+    std::fill(pad + len, pad + 64, -1.0f);
+    std::memcpy(pad, x, len * sizeof(float));
+    x = pad;
+  }
+  int bad = 0;
+  *lo = levels32_avx2(x, &bad);
+  *hi = levels32_avx2(x + 32, &bad);
+  return bad == 0;
+}
+
+__attribute__((target("avx2"))) inline void planes64_avx2(
+    __m256i lo, __m256i hi, std::uint64_t* planes, std::size_t kw) {
+  for (std::size_t t = 0; t < kBinaryPlanes; ++t) {
+    const __m256i tv = _mm256_set1_epi8(static_cast<char>(t));
+    const auto l = static_cast<std::uint32_t>(
+        _mm256_movemask_epi8(_mm256_cmpgt_epi8(lo, tv)));
+    const auto h = static_cast<std::uint32_t>(
+        _mm256_movemask_epi8(_mm256_cmpgt_epi8(hi, tv)));
+    planes[t * kw] = l | static_cast<std::uint64_t>(h) << 32;
+  }
+}
+
+__attribute__((target("avx2"))) bool grid_codes_avx2(const float* x,
+                                                     std::size_t n,
+                                                     std::uint8_t* codes) {
+  for (std::size_t p = 0; p < n; p += 64) {
+    __m256i lo, hi;
+    if (!codes64_avx2(x + p, n - p, &lo, &hi)) return false;
+    alignas(32) std::uint8_t c[64];
+    std::uint8_t* dst = n - p >= 64 ? codes + p : c;
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), lo);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + 32), hi);
+    if (dst == c) std::memcpy(codes + p, c, n - p);
+  }
+  return true;
+}
+
+__attribute__((target("avx2"))) void encode_codes_row_avx2(
+    const std::uint8_t* c, std::size_t k, std::uint64_t* planes,
+    std::size_t ldp) {
+  for (std::size_t w = 0; w < binary_words(k); ++w) {
+    const std::uint8_t* src = c + w * 64;
+    alignas(32) std::uint8_t pad[64];
+    if (k - w * 64 < 64) {  // partial chunk: dead lanes are code 0
+      std::memset(pad, 0, sizeof pad);
+      std::memcpy(pad, src, k - w * 64);
+      src = pad;
+    }
+    planes64_avx2(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src)),
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + 32)),
+        planes + w, ldp);
+  }
+}
+
+/// Bits of the first `len` lanes of a 64-lane chunk (len may exceed 64).
+inline std::uint64_t live_mask(std::size_t len) {
+  return len >= 64 ? ~0ull : (1ull << len) - 1;
+}
+
+// AVX-512BW encoders: 16 float lanes per compare mask; dead lanes are
+// masked loads that read -1.0f (level 0), and each plane word is a single
+// cmpgt_epu8_mask over 64 level bytes.
+__attribute__((target("avx512f,avx512bw"))) inline __m128i levels16_avx512(
+    const float* p, __mmask16 live, __mmask16* bad) {
+  const __m512 x = _mm512_mask_loadu_ps(_mm512_set1_ps(-1.0f), live, p);
+  const __m512 lf = _mm512_mul_ps(_mm512_add_ps(x, _mm512_set1_ps(1.0f)),
+                                  _mm512_set1_ps(4.0f));
+  const __m512i lvl = _mm512_cvttps_epi32(lf);
+  const __m512 lvlf = _mm512_cvtepi32_ps(lvl);
+  __mmask16 ok = _mm512_cmp_ps_mask(lf, _mm512_setzero_ps(), _CMP_GE_OQ);
+  ok = _mm512_mask_cmp_ps_mask(ok, lf, _mm512_set1_ps(8.0f), _CMP_LE_OQ);
+  ok = _mm512_mask_cmp_ps_mask(ok, lvlf, lf, _CMP_EQ_OQ);
+  const __m512 back = _mm512_sub_ps(_mm512_mul_ps(lvlf, _mm512_set1_ps(0.25f)),
+                                    _mm512_set1_ps(1.0f));
+  ok = _mm512_mask_cmp_ps_mask(ok, back, x, _CMP_EQ_OQ);
+  *bad |= static_cast<__mmask16>(~ok);
+  return _mm512_cvtepi32_epi8(lvl);
+}
+
+/// Level bytes of one chunk of `len` lanes (len may exceed 64). False if a
+/// live lane is off-grid.
+__attribute__((target("avx512f,avx512bw"))) inline bool codes64_avx512(
+    const float* x, std::size_t len, __m512i* codes) {
+  const std::uint64_t live = live_mask(len);
+  __mmask16 bad = 0;
+  const __m128i q0 = levels16_avx512(x, static_cast<__mmask16>(live), &bad);
+  const __m128i q1 =
+      levels16_avx512(x + 16, static_cast<__mmask16>(live >> 16), &bad);
+  const __m128i q2 =
+      levels16_avx512(x + 32, static_cast<__mmask16>(live >> 32), &bad);
+  const __m128i q3 =
+      levels16_avx512(x + 48, static_cast<__mmask16>(live >> 48), &bad);
+  const __m256i lo = _mm256_set_m128i(q1, q0);
+  const __m256i hi = _mm256_set_m128i(q3, q2);
+  *codes = _mm512_inserti64x4(_mm512_castsi256_si512(lo), hi, 1);
+  return bad == 0;
+}
+
+__attribute__((target("avx512f,avx512bw"))) inline void planes64_avx512(
+    __m512i codes, std::uint64_t* planes, std::size_t kw) {
+  for (std::size_t t = 0; t < kBinaryPlanes; ++t)
+    planes[t * kw] = _mm512_cmpgt_epu8_mask(
+        codes, _mm512_set1_epi8(static_cast<char>(t)));
+}
+
+__attribute__((target("avx512f,avx512bw"))) bool grid_codes_avx512(
+    const float* x, std::size_t n, std::uint8_t* codes) {
+  for (std::size_t p = 0; p < n; p += 64) {
+    __m512i c;
+    if (!codes64_avx512(x + p, n - p, &c)) return false;
+    _mm512_mask_storeu_epi8(codes + p, live_mask(n - p), c);
+  }
+  return true;
+}
+
+__attribute__((target("avx512f,avx512bw"))) void encode_codes_row_avx512(
+    const std::uint8_t* c, std::size_t k, std::uint64_t* planes,
+    std::size_t ldp) {
+  for (std::size_t w = 0; w < binary_words(k); ++w)
+    planes64_avx512(
+        _mm512_maskz_loadu_epi8(live_mask(k - w * 64), c + w * 64),
+        planes + w, ldp);
+}
+
+#pragma GCC diagnostic pop
+
 #endif  // GBO_BINARY_X86
 
 #if defined(__ARM_NEON)
@@ -235,13 +457,20 @@ void xpr_neon(const std::uint64_t* a, const std::uint64_t* W, std::size_t n,
 
 #endif  // __ARM_NEON
 
-constexpr BinaryKernel kScalarKernel{"scalar", &xpr_scalar};
+constexpr BinaryKernel kScalarKernel{"scalar", &xpr_scalar, &grid_codes_scalar,
+                                     &encode_codes_row_scalar};
 #if defined(GBO_BINARY_X86)
-constexpr BinaryKernel kAvx2Kernel{"avx2", &xpr_avx2};
-constexpr BinaryKernel kAvx512Kernel{"avx512_vpopcntdq", &xpr_avx512};
+constexpr BinaryKernel kAvx2Kernel{"avx2", &xpr_avx2, &grid_codes_avx2,
+                                   &encode_codes_row_avx2};
+constexpr BinaryKernel kAvx512Kernel{"avx512_vpopcntdq", &xpr_avx512,
+                                     &grid_codes_avx512,
+                                     &encode_codes_row_avx512};
 #endif
 #if defined(__ARM_NEON)
-constexpr BinaryKernel kNeonKernel{"neon", &xpr_neon};
+// NEON has the popcount kernel only; its A-side encoders are the scalar
+// reference ones.
+constexpr BinaryKernel kNeonKernel{"neon", &xpr_neon, &grid_codes_scalar,
+                                   &encode_codes_row_scalar};
 #endif
 
 // ---- CPUID feature probe -------------------------------------------------
@@ -255,6 +484,7 @@ constexpr BinaryKernel kNeonKernel{"neon", &xpr_neon};
 struct CpuFeatures {
   bool avx2 = false;
   bool avx512f = false;
+  bool avx512bw = false;
   bool avx512vpopcntdq = false;
 };
 
@@ -276,6 +506,7 @@ CpuFeatures probe_cpu() {
   if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) {
     f.avx2 = os_avx && ((ebx >> 5) & 1);
     f.avx512f = os_avx512 && ((ebx >> 16) & 1);
+    f.avx512bw = f.avx512f && ((ebx >> 30) & 1);
     f.avx512vpopcntdq = f.avx512f && ((ecx >> 14) & 1);
   }
   return f;
@@ -293,22 +524,30 @@ bool force_scalar() {
   return e != nullptr && e[0] != '\0' && e[0] != '0';
 }
 
-const BinaryKernel* select_kernel() {
-  if (force_scalar()) return &kScalarKernel;
+std::vector<const BinaryKernel*> supported_kernels() {
+  std::vector<const BinaryKernel*> ks{&kScalarKernel};
 #if defined(GBO_BINARY_X86)
-  if (cpu().avx512vpopcntdq) return &kAvx512Kernel;
-  if (cpu().avx2) return &kAvx2Kernel;
+  if (cpu().avx2) ks.push_back(&kAvx2Kernel);
+  // The AVX-512 entry's encoders need BW (byte compares) on top of the
+  // VPOPCNTDQ popcount kernel.
+  if (cpu().avx512vpopcntdq && cpu().avx512bw) ks.push_back(&kAvx512Kernel);
 #endif
 #if defined(__ARM_NEON)
-  return &kNeonKernel;
+  ks.push_back(&kNeonKernel);
 #endif
-  return &kScalarKernel;
+  return ks;
 }
 
 }  // namespace
 
+const std::vector<const BinaryKernel*>& binary_kernels() {
+  static const std::vector<const BinaryKernel*> ks = supported_kernels();
+  return ks;
+}
+
 const BinaryKernel& binary_kernel() {
-  static const BinaryKernel* k = select_kernel();
+  static const BinaryKernel* k =
+      force_scalar() ? &kScalarKernel : binary_kernels().back();
   return *k;
 }
 
@@ -321,6 +560,7 @@ std::string cpu_features() {
 #if defined(GBO_BINARY_X86)
   if (cpu().avx2) s += "avx2 ";
   if (cpu().avx512f) s += "avx512f ";
+  if (cpu().avx512bw) s += "avx512bw ";
   if (cpu().avx512vpopcntdq) s += "avx512vpopcntdq ";
 #endif
 #if defined(__ARM_NEON)
@@ -360,62 +600,65 @@ PackedBinaryB prepack_binary_b_t(std::size_t n, std::size_t k, const float* B,
   return pb;
 }
 
-namespace {
-
-/// Level 0..8 of an on-grid value, -1 otherwise. (x + 1)·4 alone is not a
-/// sufficient test: the addition ROUNDS, so a tiny off-grid value (e.g.
-/// 1e-8) lands on an integer — the reconstruction comparison is what makes
-/// the test exact (grid values round-trip exactly; NaN fails the range
-/// comparison).
-int grid_level(float x) {
-  const float lf = (x + 1.0f) * 4.0f;
-  if (!(lf >= 0.0f && lf <= 8.0f)) return -1;
-  const int lvl = static_cast<int>(lf);
-  if (static_cast<float>(lvl) != lf) return -1;
-  if (static_cast<float>(lvl) * 0.25f - 1.0f != x) return -1;
-  return lvl;
-}
-
-}  // namespace
-
-bool binary_grid_check(const float* p, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i)
-    if (grid_level(p[i]) < 0) return false;
-  return true;
-}
-
-bool pack_binary_a(std::size_t m, std::size_t k, const float* A,
-                   std::size_t lda, std::uint64_t* dst) {
+bool pack_binary_a_with(const BinaryKernel& kern, std::size_t m,
+                        std::size_t k, const float* A, std::size_t lda,
+                        std::uint64_t* dst) {
+  GBO_TRACE_SPAN(obs::EventType::kBinaryPack, m,
+                 static_cast<std::uint16_t>(k < 65535 ? k : 65535), m * k);
   const std::size_t kw = binary_words(k);
+  const std::size_t row_words = kBinaryPlanes * kw;
   std::atomic<bool> ok{true};
   parallel_for(0, m, 16, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (!ok.load(std::memory_order_relaxed)) return;
-      const float* src = A + i * lda;
-      std::uint64_t* row = dst + i * kBinaryPlanes * kw;
-      // Accumulate each 64-lane chunk's plane words in registers — one
-      // store per plane per word instead of a read-modify-write per
-      // element — then spill to the strided plane layout.
-      for (std::size_t word = 0; word < kw; ++word) {
-        std::uint64_t pl[kBinaryPlanes] = {0};
-        const std::size_t p_end = std::min(k, (word + 1) * 64);
-        for (std::size_t p = word * 64; p < p_end; ++p) {
-          const int lvl = grid_level(src[p]);
-          if (lvl < 0) {
-            ok.store(false, std::memory_order_relaxed);
-            return;
-          }
-          // Thermometer code: level l sets planes 0..l-1 (+1 pulses), the
-          // remaining planes read as -1 through the XOR identity.
-          const std::uint64_t bit = 1ull << (p % 64);
-          for (int t = 0; t < lvl; ++t) pl[t] |= bit;
+    // Each row is validated into level codes one block of whole 64-lane
+    // chunks at a time, then encoded from the codes: the conv route's two
+    // steps, with the codes on the stack.
+    constexpr std::size_t kBlock = 1024;
+    std::uint8_t codes[kBlock];
+    for (std::size_t i = lo; i < hi && ok.load(std::memory_order_relaxed);
+         ++i) {
+      for (std::size_t p = 0; p < k; p += kBlock) {
+        const std::size_t len = std::min(kBlock, k - p);
+        if (!kern.grid_codes(A + i * lda + p, len, codes)) {
+          ok.store(false, std::memory_order_relaxed);
+          break;
         }
-        for (std::size_t t = 0; t < kBinaryPlanes; ++t)
-          row[t * kw + word] = pl[t];
+        kern.encode_codes_row(codes, len, dst + i * row_words + p / 64, kw);
       }
     }
   });
   return ok.load(std::memory_order_relaxed);
+}
+
+bool pack_binary_a(std::size_t m, std::size_t k, const float* A,
+                   std::size_t lda, std::uint64_t* dst) {
+  return pack_binary_a_with(binary_kernel(), m, k, A, lda, dst);
+}
+
+bool binary_grid_codes(const float* x, std::size_t n, std::uint8_t* codes) {
+  constexpr std::size_t kBlock = 1u << 14;  // whole 64-lane chunks
+  auto* fn = binary_kernel().grid_codes;
+  std::atomic<bool> ok{true};
+  parallel_for(0, (n + kBlock - 1) / kBlock, 1,
+               [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t b = lo; b < hi && ok.load(std::memory_order_relaxed);
+         ++b) {
+      const std::size_t p = b * kBlock;
+      if (!fn(x + p, std::min(kBlock, n - p), codes + p))
+        ok.store(false, std::memory_order_relaxed);
+    }
+  });
+  return ok.load(std::memory_order_relaxed);
+}
+
+void pack_binary_codes(std::size_t m, std::size_t k, const std::uint8_t* C,
+                       std::size_t ldc, std::uint64_t* dst) {
+  const std::size_t kw = binary_words(k);
+  const std::size_t row_words = kBinaryPlanes * kw;
+  auto* fn = binary_kernel().encode_codes_row;
+  parallel_for(0, m, 16, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i)
+      fn(C + i * ldc, k, dst + i * row_words, kw);
+  });
 }
 
 void gemm_binary_with(const BinaryKernel& kern, std::size_t m, std::size_t n,
@@ -440,15 +683,23 @@ void gemm_binary_with(const BinaryKernel& kern, std::size_t m, std::size_t n,
   // (8k - 2P)/8 is an integer multiple of 1/4 below 2^24: the int->float
   // conversion and the 0.125f (power of two) multiply are both exact, which
   // is what makes this equal to the float kernels bit for bit.
+  //
+  // Popcounts land in a fixed stack block of output columns, so the serving
+  // path allocates nothing; each kernel call still sweeps a whole panel of
+  // up to kPopBlock weight rows.
+  constexpr std::size_t kPopBlock = 256;
   parallel_for(0, m, 4, [&](std::size_t lo, std::size_t hi) {
-    std::vector<std::uint64_t> pops(n);
+    std::uint64_t pops[kPopBlock];
     for (std::size_t i = lo; i < hi; ++i) {
       const std::uint64_t* ai = packedA + i * kBinaryPlanes * kw;
       float* Ci = C + i * ldc;
-      fn(ai, wwords, n, kw, pops.data());
-      for (std::size_t j = 0; j < n; ++j) {
-        const std::int64_t pop = static_cast<std::int64_t>(pops[j]);
-        Ci[j] = static_cast<float>(mk - 2 * pop) * 0.125f;
+      for (std::size_t j0 = 0; j0 < n; j0 += kPopBlock) {
+        const std::size_t nb = std::min(kPopBlock, n - j0);
+        fn(ai, wwords + j0 * kw, nb, kw, pops);
+        for (std::size_t j = 0; j < nb; ++j) {
+          const std::int64_t pop = static_cast<std::int64_t>(pops[j]);
+          Ci[j0 + j] = static_cast<float>(mk - 2 * pop) * 0.125f;
+        }
       }
     }
   });

@@ -22,9 +22,10 @@
 //
 // Micro-kernels are selected once per process from a runtime CPUID-probed
 // registry (scalar / AVX2 nibble-LUT / AVX-512 VPOPCNTDQ with masked edge
-// tiles / NEON); every variant sums the same integer popcounts, so the
-// kernel choice can never change an output bit. GBO_FORCE_SCALAR_KERNELS=1
-// pins the scalar kernel (the CI fallback leg).
+// tiles / NEON); every variant sums the same integer popcounts and encodes
+// activations with the same exact per-lane grid predicate, so the kernel
+// choice can never change an output bit. GBO_FORCE_SCALAR_KERNELS=1 pins the
+// scalar kernel (the CI fallback leg).
 #pragma once
 
 #include <cstddef>
@@ -68,29 +69,49 @@ inline std::size_t packed_binary_a_words(std::size_t m, std::size_t k) {
   return m * kBinaryPlanes * binary_words(k);
 }
 
-/// True when every value is exactly on the 9-level grid. The conv route
-/// runs this over the NCHW input before materializing the patch matrix
-/// (padding contributes zeros, which are on-grid).
-bool binary_grid_check(const float* p, std::size_t n);
-
 /// Encodes A[m, k] (lda) into thermometer bit-planes: row i's plane t at
 /// dst[(i·kBinaryPlanes + t)·kw], bit p set iff t < level(A[i, p]). Returns
 /// false — dst contents then unspecified — if any value is off the 9-level
-/// grid; this fused validate+encode is the quant layers' route dispatch.
+/// grid; this validate+encode is the quant linear layer's route dispatch.
+/// Runs the dispatched registry encoder, grid_codes then encode_codes_row
+/// per row.
 bool pack_binary_a(std::size_t m, std::size_t k, const float* A,
                    std::size_t lda, std::uint64_t* dst);
 
-/// One registry entry: xor_popcount_row fills pops[j] with the total
+/// The conv route's validating pass: codes[i] = level of x[i] (0..8) for
+/// every i < n, or false — codes then unspecified — if any value is off the
+/// grid. Patches are gathered over these one-byte codes (zero padding is
+/// level 4), so each input element is validated once, not once per patch.
+bool binary_grid_codes(const float* x, std::size_t n, std::uint8_t* codes);
+
+/// Encodes level codes C[m, k] (ldc, each <= 8) into the pack_binary_a
+/// plane layout. Cannot fail: the codes were validated when they were made.
+void pack_binary_codes(std::size_t m, std::size_t k, const std::uint8_t* C,
+                       std::size_t ldc, std::uint64_t* dst);
+
+/// One registry entry. xor_popcount_row fills pops[j] with the total
 /// popcount of (a XOR W_j) over kBinaryPlanes planes of kw words, for every
 /// weight row j in [0, n) (a: planes contiguous, kw words each; W: n rows
 /// of kw words, the PackedBinaryB layout). Row granularity is the perf
 /// contract: for kw <= 8 — k <= 512, every layer in the paper's models —
 /// the SIMD kernels keep all 8 activation planes in registers across the
 /// whole weight panel and load each weight row exactly once.
+///
+/// The A-side encode is two steps. grid_codes is the validating pass of n
+/// floats to level codes 0..8 (false on the first off-grid value, codes
+/// then unspecified; nothing is written past n). encode_codes_row encodes
+/// k already-validated codes into plane t of the row at planes[t·ldp + w],
+/// w < binary_words(k) <= ldp, bit p set iff t < level(p); padding bits are
+/// zero. Every variant evaluates the exact grid predicate of DESIGN.md §8
+/// per lane, so the encoders are bitwise interchangeable, accept/reject
+/// included.
 struct BinaryKernel {
   const char* name;
   void (*xor_popcount_row)(const std::uint64_t* a, const std::uint64_t* W,
                            std::size_t n, std::size_t kw, std::uint64_t* pops);
+  bool (*grid_codes)(const float* x, std::size_t n, std::uint8_t* codes);
+  void (*encode_codes_row)(const std::uint8_t* codes, std::size_t k,
+                           std::uint64_t* planes, std::size_t ldp);
 };
 
 /// The micro-kernel selected once per process: best CPUID-supported ISA, or
@@ -100,6 +121,17 @@ const BinaryKernel& binary_kernel();
 /// The always-available scalar kernel (the in-tree reference the dispatched
 /// kernel is gated against).
 const BinaryKernel& binary_kernel_scalar();
+
+/// Every registry entry this CPU can run, scalar first and the dispatch
+/// choice (absent GBO_FORCE_SCALAR_KERNELS) last; tests gate each of them
+/// against the scalar reference.
+const std::vector<const BinaryKernel*>& binary_kernels();
+
+/// pack_binary_a with an explicit registry encoder (the dispatched-vs-scalar
+/// gates run through this).
+bool pack_binary_a_with(const BinaryKernel& kern, std::size_t m,
+                        std::size_t k, const float* A, std::size_t lda,
+                        std::uint64_t* dst);
 
 /// Name of the dispatched kernel ("scalar" / "avx2" / "avx512_vpopcntdq" /
 /// "neon") — recorded in the bench JSON so CI artifacts document the ISA

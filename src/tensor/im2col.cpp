@@ -2,6 +2,8 @@
 
 #include "common/thread_pool.hpp"
 
+#include <cstring>
+
 namespace gbo {
 
 Tensor im2col(const Tensor& input, const ConvGeom& g) {
@@ -48,6 +50,45 @@ void im2col_into(const Tensor& input, const ConvGeom& g, float* out) {
             }
           }
         }
+      }
+    }
+  });
+}
+
+std::size_t padded_hwc_bytes(std::size_t batch, const ConvGeom& g) {
+  return batch * (g.in_h + 2 * g.pad) * (g.in_w + 2 * g.pad) * g.in_c;
+}
+
+void im2col_codes_into(const std::uint8_t* codes, std::size_t batch,
+                       const ConvGeom& g, std::uint8_t pad,
+                       std::uint8_t* scratch, std::uint8_t* out) {
+  if (batch == 0) return;  // scratch may then be null
+  const std::size_t C = g.in_c, H = g.in_h, W = g.in_w;
+  const std::size_t hp = H + 2 * g.pad, wp = W + 2 * g.pad;
+  const std::size_t oh = g.out_h(), ow = g.out_w(), plen = g.patch_len();
+  const std::size_t run = g.k * C;  // one kernel row of taps, all channels
+
+  // Padded NHWC copy: afterwards every patch, border ones included, is k
+  // contiguous runs of k·C bytes, one per kernel row.
+  std::memset(scratch, pad, padded_hwc_bytes(batch, g));
+  for (std::size_t n = 0; n < batch; ++n)
+    for (std::size_t c = 0; c < C; ++c)
+      for (std::size_t y = 0; y < H; ++y) {
+        const std::uint8_t* src = codes + ((n * C + c) * H + y) * W;
+        std::uint8_t* dst = scratch + ((n * hp + y + g.pad) * wp + g.pad) * C + c;
+        for (std::size_t x = 0; x < W; ++x) dst[x * C] = src[x];
+      }
+
+  // Each (image, output row) writes a disjoint slice of `out`.
+  parallel_for(0, batch * oh, 4, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t noy = lo; noy < hi; ++noy) {
+      const std::size_t n = noy / oh, oy = noy % oh;
+      for (std::size_t ox = 0; ox < ow; ++ox) {
+        std::uint8_t* row = out + ((n * oh + oy) * ow + ox) * plen;
+        const std::uint8_t* src =
+            scratch + ((n * hp + oy * g.stride) * wp + ox * g.stride) * C;
+        for (std::size_t ky = 0; ky < g.k; ++ky)
+          std::memcpy(row + ky * run, src + ky * wp * C, run);
       }
     }
   });

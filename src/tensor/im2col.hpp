@@ -9,6 +9,8 @@
 
 #include "tensor/tensor.hpp"
 
+#include <cstdint>
+
 namespace gbo {
 
 struct ConvGeom {
@@ -30,6 +32,20 @@ Tensor im2col(const Tensor& input, const ConvGeom& g);
 /// floats (arena scratch in the stateless infer path). Every element is
 /// written, padding included; bitwise identical to im2col.
 void im2col_into(const Tensor& input, const ConvGeom& g, float* out);
+
+/// The binary conv route's lowering over one-byte level codes of an NCHW
+/// input (contiguous [batch, in_c, in_h, in_w]), in TAP-MAJOR lane order:
+/// row (n, oy, ox), lane (ky·k + kx)·in_c + c holds the code under that
+/// tap, or `pad` (the code of the zero padding) outside the image. The
+/// order differs from im2col's channel-major one so that each patch is k
+/// contiguous copies out of a padded NHWC copy of the input, built in
+/// `scratch` (padded_hwc_bytes(batch, g) bytes); the binary MVM sums
+/// popcounts over lanes, so weights packed in the same order give the same
+/// result bit for bit.
+std::size_t padded_hwc_bytes(std::size_t batch, const ConvGeom& g);
+void im2col_codes_into(const std::uint8_t* codes, std::size_t batch,
+                       const ConvGeom& g, std::uint8_t pad,
+                       std::uint8_t* scratch, std::uint8_t* out);
 
 /// Inverse scatter-add of im2col: columns [N * out_h * out_w, C*k*k]
 /// -> gradient w.r.t. input [N, C, H, W].

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -99,9 +100,9 @@ TEST(GemmBinary, BitwiseAcrossThreadCounts) {
 }
 
 TEST(GemmBinary, EveryRegistryKernelMatchesScalar) {
-  // The dispatch can never change an output bit: the best-ISA kernel the
-  // CPUID probe selected must agree with the scalar reference exactly.
-  // (The CI fallback leg runs the whole suite under
+  // The dispatch can never change an output bit: every kernel this CPU can
+  // run — the CPUID probe's choice included — must agree with the scalar
+  // reference exactly. (The CI fallback leg runs the whole suite under
   // GBO_FORCE_SCALAR_KERNELS=1, which makes binary_kernel() itself scalar.)
   const std::size_t m = 13, n = 21, k = 517;  // kw = 9: exercises edge masks
   const std::vector<float> A = make_grid(m, k);
@@ -110,15 +111,98 @@ TEST(GemmBinary, EveryRegistryKernelMatchesScalar) {
   std::vector<std::uint64_t> pa(packed_binary_a_words(m, k));
   ASSERT_TRUE(pack_binary_a(m, k, A.data(), k, pa.data()));
 
-  std::vector<float> c_scalar(m * n), c_best(m * n);
+  std::vector<float> c_scalar(m * n);
   gemm_binary_with(binary_kernel_scalar(), m, n, k, pa.data(), pb,
                    c_scalar.data(), n);
-  gemm_binary_with(binary_kernel(), m, n, k, pa.data(), pb, c_best.data(), n);
-  for (std::size_t i = 0; i < m * n; ++i) EXPECT_EQ(c_scalar[i], c_best[i]);
+  ASSERT_FALSE(binary_kernels().empty());
+  EXPECT_EQ(binary_kernels().front(), &binary_kernel_scalar());
+  for (const BinaryKernel* kern : binary_kernels()) {
+    SCOPED_TRACE(kern->name);
+    std::vector<float> c(m * n);
+    gemm_binary_with(*kern, m, n, k, pa.data(), pb, c.data(), n);
+    for (std::size_t i = 0; i < m * n; ++i) EXPECT_EQ(c_scalar[i], c[i]);
+  }
 
   EXPECT_STREQ(binary_kernel_scalar().name, "scalar");
   EXPECT_NE(binary_kernel_name(), nullptr);
   EXPECT_FALSE(cpu_features().empty());
+}
+
+TEST(GemmBinary, EveryRegistryEncoderMatchesScalar) {
+  // Every registry encoder evaluates the exact grid predicate per lane: the
+  // same planes bit for bit, the same accept/reject, zero padding bits, and
+  // no reads past the row (the stride gap holds an off-grid poison).
+  const BinaryKernel& ref = binary_kernel_scalar();
+  const float kPoison = 0.3f;
+  const float off_grid[] = {0.3f,
+                            1e-8f,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            1.25f,
+                            -1.0000001f};
+  for (const std::size_t k : {1, 15, 16, 17, 63, 64, 65, 127, 576, 1030}) {
+    const std::size_t m = 3, lda = k + 7, kw = binary_words(k);
+    const std::size_t row_words = kBinaryPlanes * kw;
+    const std::vector<float> grid = make_grid(m, k);
+    std::vector<float> A(m * lda, kPoison);
+    for (std::size_t i = 0; i < m; ++i)
+      std::copy(grid.begin() + i * k, grid.begin() + (i + 1) * k,
+                A.begin() + i * lda);
+    A[k - 1] = -0.0f;  // last lane of row 0: accepted as level 4
+
+    std::vector<std::uint64_t> want(m * row_words);
+    ASSERT_TRUE(pack_binary_a_with(ref, m, k, A.data(), lda, want.data()));
+    for (std::size_t t = 0; t < kBinaryPlanes; ++t)
+      EXPECT_EQ((want[t * kw + kw - 1] >> ((k - 1) % 64)) & 1, t < 4 ? 1u : 0u)
+          << "k=" << k << " t=" << t;
+
+    for (const BinaryKernel* kern : binary_kernels()) {
+      SCOPED_TRACE(::testing::Message() << kern->name << " k=" << k);
+      std::vector<std::uint64_t> got(m * row_words, ~0ull);
+      ASSERT_TRUE(pack_binary_a_with(*kern, m, k, A.data(), lda, got.data()));
+      EXPECT_EQ(got, want);
+      if (k % 64 != 0) {
+        for (std::size_t w = kw - 1; w < got.size(); w += kw)
+          EXPECT_EQ(got[w] >> (k % 64), 0u) << "padding bits, word " << w;
+      }
+
+      // The conv route's two-step encode: level codes, then planes.
+      for (std::size_t i = 0; i < m; ++i) {
+        std::vector<std::uint8_t> codes(k + 8, 0xaa), ref_codes(k);
+        ASSERT_TRUE(kern->grid_codes(&A[i * lda], k, codes.data()));
+        ASSERT_TRUE(ref.grid_codes(&A[i * lda], k, ref_codes.data()));
+        EXPECT_TRUE(std::equal(ref_codes.begin(), ref_codes.end(),
+                               codes.begin()));
+        for (std::size_t p = k; p < k + 8; ++p)
+          EXPECT_EQ(codes[p], 0xaa) << "wrote past n at " << p;
+        std::vector<std::uint64_t> planes(row_words, ~0ull);
+        kern->encode_codes_row(codes.data(), k, planes.data(), kw);
+        EXPECT_TRUE(std::equal(planes.begin(), planes.end(),
+                               want.begin() + i * row_words));
+      }
+
+      // An off-grid sentinel at every lane position, the last tail lane
+      // included, is rejected exactly like the scalar reference rejects it.
+      std::vector<float> row(A.begin() + lda, A.begin() + lda + k);
+      std::vector<std::uint64_t> scratch(row_words);
+      std::vector<std::uint8_t> codes(k);
+      for (const float bad : off_grid) {
+        for (std::size_t p = 0; p < k; ++p) {
+          const float keep = row[p];
+          row[p] = bad;
+          ASSERT_FALSE(
+              pack_binary_a_with(ref, 1, k, row.data(), k, scratch.data()));
+          EXPECT_FALSE(
+              pack_binary_a_with(*kern, 1, k, row.data(), k, scratch.data()))
+              << "value " << bad << " at lane " << p;
+          EXPECT_FALSE(kern->grid_codes(row.data(), k, codes.data()))
+              << "value " << bad << " at lane " << p;
+          row[p] = keep;
+        }
+      }
+    }
+  }
 }
 
 TEST(GemmBinary, OffGridInputAbortsPack) {
@@ -132,11 +216,16 @@ TEST(GemmBinary, OffGridInputAbortsPack) {
 TEST(GemmBinary, GridCheckAcceptsExactlyTheNineLevels) {
   for (int l = 0; l <= 8; ++l) {
     const float v = static_cast<float>(l) * 0.25f - 1.0f;
-    EXPECT_TRUE(binary_grid_check(&v, 1)) << v;
+    std::uint8_t code = 0xff;
+    EXPECT_TRUE(binary_grid_codes(&v, 1, &code)) << v;
+    EXPECT_EQ(code, l);
   }
   const float bad[] = {1.25f, -1.25f, 0.1f, 1e-8f,
                        std::numeric_limits<float>::quiet_NaN()};
-  for (float v : bad) EXPECT_FALSE(binary_grid_check(&v, 1)) << v;
+  for (float v : bad) {
+    std::uint8_t code;
+    EXPECT_FALSE(binary_grid_codes(&v, 1, &code)) << v;
+  }
 }
 
 TEST(GemmBinary, ZeroDotProducesPositiveZero) {

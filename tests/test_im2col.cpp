@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 namespace gbo {
 namespace {
 
@@ -44,6 +47,41 @@ TEST(Im2col, KnownPatchNoPadding) {
   // Patch at (1,1) = [4 5; 7 8].
   EXPECT_FLOAT_EQ(cols.at(3, 0), 4.0f);
   EXPECT_FLOAT_EQ(cols.at(3, 3), 8.0f);
+}
+
+TEST(Im2col, CodeLoweringIsTapMajorIm2col) {
+  // The binary conv route's byte lowering holds exactly im2col's patch
+  // values, with lane (ky·k + kx)·in_c + c taking channel-major column
+  // c·k·k + ky·k + kx, and the pad code where im2col writes zero padding.
+  const ConvGeom geoms[] = {
+      {.in_c = 3, .in_h = 5, .in_w = 4, .k = 3, .stride = 1, .pad = 1},
+      {.in_c = 2, .in_h = 7, .in_w = 6, .k = 3, .stride = 2, .pad = 0},
+      {.in_c = 4, .in_h = 6, .in_w = 5, .k = 2, .stride = 2, .pad = 1},
+  };
+  const std::uint8_t kPad = 200;
+  for (const ConvGeom& g : geoms) {
+    const std::size_t batch = 2;
+    Tensor x({batch, g.in_c, g.in_h, g.in_w});
+    std::vector<std::uint8_t> codes(x.numel());
+    for (std::size_t i = 0; i < x.numel(); ++i) {
+      codes[i] = static_cast<std::uint8_t>(1 + i % 97);  // never kPad
+      x[i] = static_cast<float>(codes[i]);
+    }
+    const Tensor cols = im2col(x, g);
+    const std::size_t m = cols.dim(0), plen = g.patch_len(), taps = g.k * g.k;
+    std::vector<std::uint8_t> scratch(padded_hwc_bytes(batch, g));
+    std::vector<std::uint8_t> rows(m * plen);
+    im2col_codes_into(codes.data(), batch, g, kPad, scratch.data(),
+                      rows.data());
+    for (std::size_t r = 0; r < m; ++r)
+      for (std::size_t c = 0; c < g.in_c; ++c)
+        for (std::size_t t = 0; t < taps; ++t) {
+          const float want = cols.at(r, c * taps + t);
+          const std::uint8_t got = rows[r * plen + t * g.in_c + c];
+          EXPECT_EQ(got, want == 0.0f ? kPad : static_cast<std::uint8_t>(want))
+              << "row " << r << " channel " << c << " tap " << t;
+        }
+  }
 }
 
 TEST(Im2col, RejectsBadInput) {

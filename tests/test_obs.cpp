@@ -109,7 +109,7 @@ TEST(CausalFingerprint, CausalTimingPartitionMatchesEventVocabulary) {
   for (auto t : {EventType::kBatch, EventType::kBatchMember,
                  EventType::kQueuePop, EventType::kStall, EventType::kGemm,
                  EventType::kBinaryMvm, EventType::kPulseEncode,
-                 EventType::kArenaAlloc})
+                 EventType::kArenaAlloc, EventType::kBinaryPack})
     EXPECT_FALSE(obs::is_causal(t)) << obs::event_name(t);
 }
 

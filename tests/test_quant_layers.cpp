@@ -86,19 +86,48 @@ TEST(QuantLinear, InferFallsBackToFloatForOffGridInput) {
 }
 
 TEST(QuantConv2d, InferRoutesOnGridInputThroughBinaryKernel) {
-  Rng rng(23);
-  ConvGeom g{.in_c = 2, .in_h = 5, .in_w = 5, .k = 3, .stride = 1, .pad = 1};
-  QuantConv2d conv(4, g, rng, /*scaled=*/true);
-  Tensor x({2, 2, 5, 5});
-  for (std::size_t i = 0; i < x.numel(); ++i)
-    x[i] = static_cast<float>(static_cast<int>(i * 3 % 9) - 4) * 0.25f;
-  Tensor ref = conv.forward(x);
-  gbo::nn::EvalContext ctx;
-  const std::uint64_t mvms_before = gemm::binary_mvm_count();
-  Tensor y = conv.infer(x, ctx);
-  EXPECT_EQ(gemm::binary_mvm_count(), mvms_before + 1);
-  ASSERT_EQ(y.shape(), ref.shape());
-  for (std::size_t i = 0; i < y.numel(); ++i) EXPECT_EQ(y[i], ref[i]);
+  // The conv route gathers patches over level codes of the input; it must
+  // stay bitwise equal to forward for every stride/padding, for patch
+  // lengths that are not a multiple of 64 (18, 63, 81), with and without
+  // a scratch arena.
+  const ConvGeom geoms[] = {
+      {.in_c = 2, .in_h = 5, .in_w = 5, .k = 3, .stride = 1, .pad = 1},
+      {.in_c = 7, .in_h = 7, .in_w = 6, .k = 3, .stride = 2, .pad = 0},
+      {.in_c = 9, .in_h = 6, .in_w = 7, .k = 3, .stride = 2, .pad = 1},
+  };
+  for (const ConvGeom& g : geoms) {
+    SCOPED_TRACE(::testing::Message() << "in_c=" << g.in_c << " stride="
+                                      << g.stride << " pad=" << g.pad);
+    Rng rng(23);
+    QuantConv2d conv(4, g, rng, /*scaled=*/true);
+    Tensor x({2, g.in_c, g.in_h, g.in_w});
+    for (std::size_t i = 0; i < x.numel(); ++i)
+      x[i] = static_cast<float>(static_cast<int>(i * 3 % 9) - 4) * 0.25f;
+    Tensor ref = conv.forward(x);
+    ScratchArena arena;
+    for (ScratchArena* a : {static_cast<ScratchArena*>(nullptr), &arena}) {
+      gbo::nn::EvalContext ctx(Rng(1), a);
+      const std::uint64_t mvms_before = gemm::binary_mvm_count();
+      Tensor y = conv.infer(x, ctx);
+      EXPECT_EQ(gemm::binary_mvm_count(), mvms_before + 1);
+      ASSERT_EQ(y.shape(), ref.shape());
+      for (std::size_t i = 0; i < y.numel(); ++i) EXPECT_EQ(y[i], ref[i]);
+    }
+
+    // One off-grid value, last in the validating pass, sends the whole
+    // call to the float route.
+    Tensor x_off = x;
+    x_off[x_off.numel() - 1] = 0.3f;
+    Tensor ref_off = conv.forward(x_off);
+    for (ScratchArena* a : {static_cast<ScratchArena*>(nullptr), &arena}) {
+      gbo::nn::EvalContext ctx(Rng(1), a);
+      const std::uint64_t mvms_before = gemm::binary_mvm_count();
+      Tensor y = conv.infer(x_off, ctx);
+      EXPECT_EQ(gemm::binary_mvm_count(), mvms_before);
+      ASSERT_EQ(y.shape(), ref_off.shape());
+      for (std::size_t i = 0; i < y.numel(); ++i) EXPECT_EQ(y[i], ref_off[i]);
+    }
+  }
 }
 
 TEST(QuantLinear, NoBiasParameter) {

@@ -16,8 +16,10 @@ For BENCH_mvm*.json files, every section below must be present with
     pulse_mvm               fused pulse sweep == per-pulse reference
     pulse_mvm_device_model  same, with read noise / ADC / variation on
     gemm_binary             XNOR/popcount MVM == float oracle, dispatched
-                            micro-kernel == scalar, and one sign-word
-                            repack per weight version (repack_once)
+                            micro-kernel == scalar, dispatched A-side
+                            encoders == scalar (encoder_match), and one
+                            sign-word repack per weight version
+                            (repack_once)
 
 For BENCH_serve*.json files ("bench": "serve"), the document-level
 "gates_ok" must be true and every scenario (any object carrying a
@@ -137,7 +139,7 @@ GATED_SECTIONS = [
 # Extra boolean gates demanded of specific BENCH_mvm sections beyond
 # bitwise_match.
 SECTION_EXTRA_GATES = {
-    "gemm_binary": ["repack_once"],
+    "gemm_binary": ["repack_once", "encoder_match"],
 }
 
 # Non-boolean keys that must be present (documenting what ran), e.g. the
@@ -221,6 +223,9 @@ TRAJECTORY = [
     ("gemm_binary", None, "gflops_binary_cached_1t", "binary mvm cached 1t"),
     ("gemm_binary", None, "speedup_binary_vs_float_1t",
      "binary/float packed 1t (x)"),
+    ("gemm_binary", None, "t_pack_1t",
+     "binary A-side encode (codes+planes) 1t (us)"),
+    ("gemm_binary", None, "pack_share_1t", "binary encode share 1t"),
     ("gemm_binary", None, "speedup_cached_vs_cold_1t",
      "binary cached/cold pack (x)"),
     ("pulse_mvm", None, "speedup_fused", "pulse fused/reference (x)"),

@@ -248,12 +248,13 @@ Json run_scenario(const char* name, const serve::Backend& backend,
                       : 0.0);
   j.set("zero_steady_packs", zero_packs);
   if (stochastic) j.set("noisy_fused", noisy_fused);
-  // Legacy (non-SLO) runs admit and deliver every request exactly once, so
-  // the oracle is a pure function of the trace length.
+  // A disabled SLO policy plans the trivial ledger: every request admitted
+  // and delivered exactly once, with no deadline or virtual clock.
+  const serve::Plan plan = serve::plan(trace, cfg.slo, cfg.batch);
   j.set("trace",
         trace_section(name, snap1, snapN,
-                      serve::expected_causal_fingerprint(trace.size()),
-                      serve::expected_causal_event_count(trace.size()),
+                      serve::expected_causal_fingerprint(plan),
+                      serve::expected_causal_event_count(plan),
                       steady_rings, trace_out, gates));
   return j;
 }

@@ -62,8 +62,8 @@ enum class EventType : std::uint8_t {
   kCanary = 8,   // id=canary replica, a=verdict (1 promote, 0 rollback),
                  // arg=virtual verdict us
   // ---- timing: serving pipeline ---------------------------------------
-  kBatch = 9,        // span: id=batch seq, a=route (0 primary, 1 degraded),
-                     // arg=rows executed
+  kBatch = 9,        // span: id=batch seq, a=0 (a batch can mix routes;
+                     // each row's is on its kDeliver), arg=rows executed
   kBatchMember = 10, // instant: id=request, arg=batch seq
   kQueuePop = 11,    // instant: id=batch seq, arg=queue depth after the pop
   kStall = 12,       // span: injected stall + retry backoff, arg=slept us

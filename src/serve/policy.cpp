@@ -59,7 +59,12 @@ Plan plan(const std::vector<Arrival>& trace, const SloPolicy& slo,
   Plan p;
   p.decisions.resize(trace.size());
   p.request_ids = std::move(request_ids);
-  if (trace.empty()) {
+  if (trace.empty() || !slo.enabled) {
+    // The trivial ledger: default decisions are served on the primary with
+    // no deadline, attempts, or virtual completion.
+    for (std::size_t i = 0; i < trace.size(); ++i)
+      p.decisions[i].priority = trace[i].priority;
+    p.counters.served = p.counters.served_primary = trace.size();
     p.shed_set_hash = shed_set_fingerprint({});
     return p;
   }
@@ -261,8 +266,31 @@ Plan plan(const std::vector<Arrival>& trace, const SloPolicy& slo,
   return p;
 }
 
+PlanCounters& PlanCounters::operator+=(const PlanCounters& o) {
+  served += o.served;
+  served_primary += o.served_primary;
+  served_canary += o.served_canary;
+  degraded_ladder += o.degraded_ladder;
+  degraded_breaker += o.degraded_breaker;
+  degraded_fallback += o.degraded_fallback;
+  shed_expired += o.shed_expired;
+  shed_overload += o.shed_overload;
+  rejected += o.rejected;
+  evicted += o.evicted;
+  retried_requests += o.retried_requests;
+  faults_injected += o.faults_injected;
+  late += o.late;
+  breaker_opens += o.breaker_opens;
+  ladder_transitions += o.ladder_transitions;
+  virtual_batches += o.virtual_batches;
+  final_ladder_level = std::max(final_ladder_level, o.final_ladder_level);
+  max_ladder_level = std::max(max_ladder_level, o.max_ladder_level);
+  max_virtual_depth = std::max(max_virtual_depth, o.max_virtual_depth);
+  return *this;
+}
+
 // The causal events the runtime emits while executing a plan, rebuilt from
-// the decision ledger. Must mirror InferenceServer::run_slo exactly: admit
+// the decision ledger. Must mirror the serving executor exactly: admit
 // verdict per request (with deadline), pop-time shed per non-served
 // decision, one retry record per served request with failed primary
 // attempts, delivery (mode, virtual completion) per served request, and
@@ -326,19 +354,6 @@ std::vector<obs::CausalTuple> plan_causal_tuples(const Plan& p) {
   return tuples;
 }
 
-std::vector<obs::CausalTuple> legacy_causal_tuples(std::size_t n) {
-  using obs::EventType;
-  std::vector<obs::CausalTuple> tuples;
-  tuples.reserve(2 * n);
-  for (std::size_t id = 0; id < n; ++id) {
-    tuples.push_back(
-        {id, static_cast<std::uint8_t>(EventType::kAdmit), 0, 0});
-    tuples.push_back(
-        {id, static_cast<std::uint8_t>(EventType::kDeliver), 0, 0});
-  }
-  return tuples;
-}
-
 }  // namespace
 
 std::uint64_t expected_causal_fingerprint(const Plan& p) {
@@ -347,14 +362,6 @@ std::uint64_t expected_causal_fingerprint(const Plan& p) {
 
 std::size_t expected_causal_event_count(const Plan& p) {
   return plan_causal_tuples(p).size();
-}
-
-std::uint64_t expected_causal_fingerprint(std::size_t n_requests) {
-  return obs::fingerprint_tuples(legacy_causal_tuples(n_requests));
-}
-
-std::size_t expected_causal_event_count(std::size_t n_requests) {
-  return legacy_causal_tuples(n_requests).size();
 }
 
 }  // namespace gbo::serve

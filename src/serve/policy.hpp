@@ -80,6 +80,9 @@ struct RetryPolicy {
 };
 
 struct SloPolicy {
+  /// Off (the default), plan() ignores every field below and returns the
+  /// trivial ledger: every request admitted and served on the primary at
+  /// full fidelity, with no deadline, virtual clock, or transitions.
   bool enabled = false;
   /// Per-request deadline (virtual us after arrival); 0 disables deadlines.
   std::uint64_t deadline_us = 0;
@@ -167,6 +170,10 @@ struct PlanCounters {
   int max_ladder_level = 0;
   std::size_t max_virtual_depth = 0;
   std::size_t virtual_batches = 0;
+
+  /// Folds a sibling replica's counters in: sums, with the ladder levels
+  /// and max_virtual_depth maxed.
+  PlanCounters& operator+=(const PlanCounters& o);
 };
 
 /// One control-plane state change on the virtual clock, in occurrence
@@ -203,7 +210,9 @@ struct Plan {
 };
 
 /// Runs the virtual-time control-plane simulation. Pure: same
-/// (trace, slo, batch) always yields the identical plan.
+/// (trace, slo, batch) always yields the identical plan. A disabled policy
+/// yields the trivial ledger (see SloPolicy::enabled), whose causal oracle
+/// is one (id, kAdmit, 0, 0) and one (id, kDeliver, 0, 0) per request.
 Plan plan(const std::vector<Arrival>& trace, const SloPolicy& slo,
           const BatchPolicy& batch);
 
@@ -244,11 +253,5 @@ void append_causal_decision_tuples(const Plan& p,
                                    std::vector<obs::CausalTuple>& tuples);
 void append_causal_transition_tuples(const Plan& p, std::size_t seq_offset,
                                      std::vector<obs::CausalTuple>& tuples);
-
-/// Oracle for a legacy (non-SLO) run: every request is admitted and
-/// delivered at full fidelity, with no deadline, virtual clock, or
-/// control-plane transitions.
-std::uint64_t expected_causal_fingerprint(std::size_t n_requests);
-std::size_t expected_causal_event_count(std::size_t n_requests);
 
 }  // namespace gbo::serve

@@ -2,10 +2,11 @@
 // §10).
 //
 // A ReplicaGroup places N replicas of a deployed backend pair — each
-// replica is its own InferenceServer with its own RequestQueue and worker
-// set — behind a router. Scale-out never buys back the determinism the
-// single-replica runtime guarantees, because every routing decision is
-// planned on the virtual clock before a wall-clock microsecond elapses:
+// replica with its own RequestQueue and worker set, all driven by the one
+// serving executor (serve/server.hpp) — behind a router. Scale-out never
+// buys back the determinism the single-replica runtime guarantees, because
+// every routing decision is planned on the virtual clock before a
+// wall-clock microsecond elapses:
 //
 //   * the routing function is pure in (seed, request id, policy, active
 //     set) — round-robin striping or seeded hashing over the active
@@ -38,7 +39,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace gbo::serve {
@@ -122,10 +122,11 @@ struct RouterReport {
   Json to_json() const;
 };
 
-/// N single-replica InferenceServers behind per-replica queues and worker
-/// sets, executed by one flat worker pool (1 producer block + N *
-/// num_workers worker blocks — the pool does not nest). Constructed from
-/// the same ServerSpec as the single-replica path:
+/// N replicas behind per-replica queues and worker sets, executed by one
+/// flat worker pool (1 producer block + N * num_workers worker blocks — the
+/// pool does not nest). The same executor runs a single InferenceServer as
+/// a group of one. Constructed from the same ServerSpec as the
+/// single-replica path:
 ///
 ///   ReplicaGroup group(ServerSpec{}.primary(b).degraded(d).dataset(ds)
 ///                          .config(cfg).replicas(4).router(policy));
@@ -135,10 +136,10 @@ class ReplicaGroup {
  public:
   explicit ReplicaGroup(const ServerSpec& spec);
 
-  std::size_t num_replicas() const { return replicas_.size(); }
+  std::size_t num_replicas() const { return exec_.num_replicas(); }
 
   /// Warms every replica (arena sizing, cache prepack, mode freeze).
-  void warmup();
+  void warmup() { exec_.warmup(); }
 
   /// The plan run() would execute for this trace (pure; exposed so tests
   /// and benches can compare the execution against its oracle).
@@ -150,12 +151,9 @@ class ReplicaGroup {
   RouterReport run(const std::vector<Arrival>& trace);
 
  private:
-  const data::Dataset& dataset_;
-  ServeConfig cfg_;
+  detail::Executor exec_;
   RouterPolicy router_;
-  const ModelRegistry* registry_ = nullptr;  // borrowed from the spec
   SwapPolicy swap_;
-  std::vector<std::unique_ptr<InferenceServer>> replicas_;
 };
 
 }  // namespace gbo::serve

@@ -5,19 +5,22 @@
 //
 //   make_trace(cfg)            seeded Poisson/burst arrival trace
 //        |
-//   InferenceServer::run       replays arrivals in real time into a
-//        |                     RequestQueue (one producer)
+//   plan / route_plan          the decision ledger (policy.hpp; trivial
+//        |                     when the SLO policy is disabled)
+//   detail::Executor           replays the ledger's arrivals in real time
+//        |                     into R per-replica RequestQueues (one
+//        |                     producer); a single server is R = 1
 //   RequestQueue::pop_batch    dynamic micro-batching (max_batch /
 //        |                     max_wait_us)
-//   worker pool                num_workers long-lived workers on the shared
-//        |                     ThreadPool; each owns an EvalContext with a
-//        |                     ScratchArena, so steady-state request
+//   worker pool                R * num_workers long-lived workers on the
+//        |                     shared ThreadPool; each owns an EvalContext
+//        |                     with a ScratchArena, so steady-state request
 //        |                     processing allocates nothing
 //   Backend::run               analytic (host net) or pulse-level
 //                              (HardwareNetwork) execution
 //
 // The worker pool reuses common/thread_pool: one parallel_for dispatches
-// num_workers + 1 blocks (block 0 replays the trace, the rest are worker
+// R * num_workers + 1 blocks (block 0 replays the trace, the rest are worker
 // loops). Because the pool claims blocks in order, the producer always
 // starts first; with a single-thread pool the trace is replayed to
 // completion and then drained sequentially — degenerate latencies, but the
@@ -56,7 +59,8 @@ struct ServeConfig {
   /// Root seed of the per-request noise forks (stochastic backends).
   std::uint64_t seed = 1;
   /// SLO control plane (DESIGN.md §7); disabled by default, in which case
-  /// the legacy always-serve path runs unchanged.
+  /// every request is admitted and served on the primary (the trivial
+  /// ledger, policy.hpp).
   SloPolicy slo;
 };
 
@@ -124,34 +128,37 @@ class ServerSpec {
   SwapPolicy swap_;
 };
 
-class ReplicaGroup;
+struct RouterPlan;    // serve/router.hpp
+struct RouterReport;  // serve/router.hpp
 
-class InferenceServer {
+namespace detail {
+
+/// The one serving executor behind InferenceServer and ReplicaGroup
+/// (DESIGN.md §4, §10): it replays a decision ledger onto R per-replica
+/// queues drained by R * num_workers worker blocks. Not a public entry
+/// point; build an InferenceServer or a ReplicaGroup instead.
+class Executor {
  public:
-  /// The only constructor: the spec must validate() clean and describe a
-  /// single replica (ReplicaGroup is the multi-replica entry point);
-  /// otherwise std::invalid_argument lists every problem at once.
-  explicit InferenceServer(const ServerSpec& spec);
+  /// Validates `spec` in one pass and throws std::invalid_argument listing
+  /// every problem, adding what the entry point needs: a single server
+  /// (`group` false) takes one replica and no swap, a group needs the SLO
+  /// control plane. Clamp warnings are logged.
+  Executor(const ServerSpec& spec, bool group);
+
+  const ServeConfig& config() const { return cfg_; }
+  std::size_t num_replicas() const { return replicas_; }
 
   /// Sizes every worker's arena and gather buffers by running one maximal
-  /// micro-batch (and one unit batch) through the backend, and freezes the
-  /// backend's deterministic/stochastic execution mode (so the backend's
-  /// hook configuration must be settled by now). Called lazily by run();
-  /// call it explicitly so the first run's arena stats are already
-  /// steady-state.
+  /// micro-batch (and one unit batch) through each backend, pins and warms
+  /// every registry version, and freezes the fusion modes.
   void warmup();
 
-  /// Replays the trace in real time and serves it to completion. An empty
-  /// trace (or empty dataset) returns an empty report with a warning.
-  ///
-  /// With cfg.slo.enabled the run is planned first: policy::plan() decides
-  /// every admit / shed / degrade / retry outcome on the virtual clock
-  /// (DESIGN.md §7), then the real replay executes the plan — planned
-  /// rejections are bounced at admission, planned sheds are pushed marked
-  /// and diverted at pop time, and fault/retry behaviour is re-derived
-  /// live from the same seeded FaultInjector. Payloads and the shed set
-  /// are bitwise identical at any worker count.
-  ServeReport run(const std::vector<Arrival>& trace);
+  /// Replays `rp` in real time and serves the trace to completion: the
+  /// ledger's control transitions, swap events and arrivals (kRoute only
+  /// when rp carries an assignment), then the workers drain. Fills the
+  /// ServeReport and each ReplicaStats row's exec-side fields.
+  RouterReport execute(const std::vector<Arrival>& trace,
+                       const RouterPlan& rp);
 
  private:
   struct Worker {
@@ -162,11 +169,11 @@ class InferenceServer {
     std::vector<std::size_t> batch_hist;  // index = batch size
     std::size_t served = 0;
     std::size_t exec_calls = 0;           // Backend::run invocations
-    // SLO-run route partitions, reused across batches (capacity settles at
+    // Route partitions, reused across batches (capacity settles at
     // max_batch, so steady-state batches allocate nothing).
     std::vector<Request> primary_group;
     std::vector<Request> degraded_group;
-    // SLO-run accounting (merged into SloSummary after the run).
+    // Exec-side accounting, merged into the report after the run.
     std::vector<std::pair<std::uint64_t, std::uint8_t>> shed_log;
     std::size_t retried = 0;    // requests served after >= 1 failed attempt
     std::size_t faults = 0;     // failed primary attempts observed
@@ -179,9 +186,8 @@ class InferenceServer {
   void warmup_backend(const Backend& backend, FusionMode mode);
   /// Executes group[0..n) (all routed to `backend` under `mode`) and writes
   /// each request's logits row into out_rows[id]. Takes a pointer + count
-  /// so the SLO route can execute contiguous same-version runs of a batch
-  /// without re-partitioning into fresh vectors (hot path stays
-  /// zero-alloc). Shared by the legacy path and both SLO routes.
+  /// so contiguous same-version runs of a batch execute without
+  /// re-partitioning into fresh vectors (hot path stays zero-alloc).
   void exec_rows(Worker& w, const Backend& backend, FusionMode mode,
                  const Request* group, std::size_t n, float* out_rows);
   /// The backend / frozen fusion mode serving primary-class requests pinned
@@ -189,30 +195,23 @@ class InferenceServer {
   /// snapshot pinned at warmup). Lock-free: flat vector lookups.
   const Backend& backend_for_version(std::uint32_t version) const;
   FusionMode mode_for_version(std::uint32_t version) const;
+  /// The batch processor: takes injected stalls and retry backoff, splits
+  /// the popped batch by planned ServeMode between the primary (per pinned
+  /// version) and degraded backends. `decisions` is the ledger indexed by
+  /// global request id; it supplies each delivery's virtual completion time
+  /// for the causal trace (DESIGN.md §9).
   void process_batch(Worker& w, const std::vector<Request>& batch,
                      float* out_rows, std::uint64_t* completion_us,
-                     const std::chrono::steady_clock::time_point& t0);
-  /// SLO-route variant: injects stalls/retry backoff, splits the popped
-  /// batch by planned ServeMode between the primary and degraded backends.
-  /// `decisions` is indexed by global request id and supplies each
-  /// delivery's virtual completion time for the causal trace (DESIGN.md
-  /// §9) — for a router run it is the fleet-wide merged ledger.
-  void process_batch_slo(Worker& w, const std::vector<Request>& batch,
-                         float* out_rows, std::uint64_t* completion_us,
-                         const std::chrono::steady_clock::time_point& t0,
-                         const FaultInjector& injector,
-                         const std::vector<Decision>& decisions);
-  /// One worker's SLO drain loop: pops until `queue` closes, diverting
-  /// pre-marked sheds into the worker's shed log. Shared by run_slo and
-  /// the router's per-replica worker blocks (serve/router.cpp).
-  void drain_queue_slo(Worker& w, RequestQueue& queue, float* out_rows,
-                       std::uint64_t* completion_us,
-                       const std::chrono::steady_clock::time_point& t0,
-                       const FaultInjector& injector,
-                       const std::vector<Decision>& decisions);
-  ServeReport run_slo(const std::vector<Arrival>& trace);
-
-  friend class ReplicaGroup;  // drives warmup/drain across its replicas
+                     const std::chrono::steady_clock::time_point& t0,
+                     const FaultInjector& injector,
+                     const std::vector<Decision>& decisions);
+  /// One worker's drain loop: pops until `queue` closes, diverting
+  /// pre-marked sheds into the worker's shed log.
+  void drain_queue(Worker& w, RequestQueue& queue, float* out_rows,
+                   std::uint64_t* completion_us,
+                   const std::chrono::steady_clock::time_point& t0,
+                   const FaultInjector& injector,
+                   const std::vector<Decision>& decisions);
 
   const Backend& backend_;
   const Backend* degraded_ = nullptr;  // SLO fallback; null = use primary
@@ -225,7 +224,11 @@ class InferenceServer {
   std::vector<std::shared_ptr<const ModelSnapshot>> pinned_;
   std::vector<FusionMode> pinned_modes_;
   ServeConfig cfg_;
+  std::size_t replicas_ = 1;
   Rng root_;
+  /// Worker w of replica r is workers_[r * num_workers + w]; every replica
+  /// shares the payload seed, so a request's payload does not depend on
+  /// which replica serves it.
   std::vector<std::unique_ptr<Worker>> workers_;
   /// Process-order sequence of popped batches; the trace id of kBatch
   /// spans and kBatchMember events (timing-class, worker-count dependent).
@@ -235,6 +238,41 @@ class InferenceServer {
   // Fusion modes frozen at warmup (primary and degraded backends).
   FusionMode mode_ = FusionMode::kPerRequest;
   FusionMode dmode_ = FusionMode::kPerRequest;
+};
+
+}  // namespace detail
+
+class InferenceServer {
+ public:
+  /// The only constructor: the spec must validate() clean and describe a
+  /// single replica (ReplicaGroup is the multi-replica entry point);
+  /// otherwise std::invalid_argument lists every problem at once.
+  explicit InferenceServer(const ServerSpec& spec)
+      : exec_(spec, /*group=*/false) {}
+
+  /// Sizes every worker's arena and gather buffers by running one maximal
+  /// micro-batch (and one unit batch) through the backend, and freezes the
+  /// backend's deterministic/stochastic execution mode (so the backend's
+  /// hook configuration must be settled by now). Called lazily by run();
+  /// call it explicitly so the first run's arena stats are already
+  /// steady-state.
+  void warmup() { exec_.warmup(); }
+
+  /// Replays the trace in real time and serves it to completion. An empty
+  /// trace (or empty dataset) returns an empty report with a warning.
+  ///
+  /// The run is planned first: policy::plan() decides every admit / shed /
+  /// degrade / retry outcome on the virtual clock (DESIGN.md §7; every
+  /// request is served when cfg.slo is disabled), then the real replay
+  /// executes the plan — planned rejections are bounced at admission,
+  /// planned sheds are pushed marked and diverted at pop time, and
+  /// fault/retry behaviour is re-derived live from the same seeded
+  /// FaultInjector. Payloads and the shed set are bitwise identical at any
+  /// worker count.
+  ServeReport run(const std::vector<Arrival>& trace);
+
+ private:
+  detail::Executor exec_;
 };
 
 }  // namespace gbo::serve

@@ -280,9 +280,13 @@ TEST(TraceServe, LegacyRunFingerprintMatchesAcrossWorkersAndOracle) {
   const std::uint64_t fp1 = obs::causal_fingerprint(snap1.events);
   const std::uint64_t fp4 = obs::causal_fingerprint(snap4.events);
   EXPECT_EQ(fp1, fp4);
-  EXPECT_EQ(fp1, serve::expected_causal_fingerprint(trace.size()));
+  // A disabled policy plans the trivial ledger, whose oracle is the legacy
+  // (id, kAdmit, 0, 0) + (id, kDeliver, 0, 0) pair per request.
+  const serve::Plan plan = serve::plan(trace, cfg.slo, cfg.batch);
+  EXPECT_EQ(fp1, serve::expected_causal_fingerprint(plan));
   EXPECT_EQ(obs::causal_event_count(snap1.events),
-            serve::expected_causal_event_count(trace.size()));
+            serve::expected_causal_event_count(plan));
+  EXPECT_EQ(obs::causal_event_count(snap1.events), 2 * trace.size());
 }
 
 TEST(TraceServe, SloRunFingerprintMatchesPlanOracle) {

@@ -359,6 +359,70 @@ TEST(ServeRouter, OutageRerouteKeepsDeliveredPayloadBits) {
   EXPECT_GT(both, 0u);
 }
 
+TEST(ServeRouter, GroupOfOneMatchesSingleServer) {
+  // One executor serves both entry points: a single InferenceServer is a
+  // ReplicaGroup of one replica that routes nothing. Built from the same SLO
+  // spec (with seeded faults, so retries, fallbacks and the breaker run
+  // too), both must agree bit for bit at every worker count.
+  ThreadGuard guard;
+  ThreadPool::instance().set_num_threads(4);
+  const FleetFixture f;
+  const auto trace = serve::make_trace(flash_traffic(), f.ds.size());
+  serve::ServeConfig cfg = fleet_config();
+  cfg.slo.retry.max_attempts = 2;
+  cfg.slo.retry.backoff_us = 20;
+  cfg.slo.fault.enabled = true;
+  cfg.slo.fault.seed = 555;
+  cfg.slo.fault.transient_rate = 0.08;
+  cfg.slo.fault.outage_start_id = 30;
+  cfg.slo.fault.outage_len = 12;
+  for (const std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
+    cfg.num_workers = workers;
+    serve::InferenceServer single(f.spec(cfg, 1, serve::RouterPolicy{}));
+    serve::ReplicaGroup group(f.spec(cfg, 1, serve::RouterPolicy{}));
+    const serve::ServeReport a = single.run(trace);
+    const serve::RouterReport g = group.run(trace);
+    const serve::ServeReport& b = g.serve;
+    expect_bitwise_equal(a.outputs, b.outputs);
+    const serve::SloSummary& x = a.slo;
+    const serve::SloSummary& y = b.slo;
+    ASSERT_TRUE(x.enabled && y.enabled);
+    EXPECT_EQ(x.shed_set_hash, y.shed_set_hash);
+    EXPECT_EQ(x.exec_shed_set_hash, y.exec_shed_set_hash);
+    EXPECT_EQ(x.exec_shed_set_hash, x.shed_set_hash);
+    EXPECT_EQ(x.admitted, y.admitted);
+    EXPECT_EQ(x.served, y.served);
+    EXPECT_EQ(x.served_primary, y.served_primary);
+    EXPECT_EQ(x.degraded_ladder, y.degraded_ladder);
+    EXPECT_EQ(x.degraded_breaker, y.degraded_breaker);
+    EXPECT_EQ(x.degraded_fallback, y.degraded_fallback);
+    EXPECT_EQ(x.shed_expired, y.shed_expired);
+    EXPECT_EQ(x.shed_overload, y.shed_overload);
+    EXPECT_EQ(x.rejected_capacity, y.rejected_capacity);
+    EXPECT_EQ(x.evicted, y.evicted);
+    EXPECT_EQ(x.retried_requests, y.retried_requests);
+    EXPECT_EQ(x.faults_injected, y.faults_injected);
+    EXPECT_EQ(x.late_virtual, y.late_virtual);
+    EXPECT_EQ(x.breaker_opens, y.breaker_opens);
+    EXPECT_EQ(x.ladder_transitions, y.ladder_transitions);
+    EXPECT_EQ(x.max_ladder_level, y.max_ladder_level);
+    EXPECT_EQ(x.max_virtual_depth, y.max_virtual_depth);
+    EXPECT_EQ(x.exec_delivered, y.exec_delivered);
+    EXPECT_EQ(x.exec_shed, y.exec_shed);
+    EXPECT_EQ(x.exec_retried, y.exec_retried);
+    EXPECT_EQ(x.exec_faults, y.exec_faults);
+    EXPECT_EQ(x.exec_fallbacks, y.exec_fallbacks);
+    EXPECT_EQ(x.exec_degraded, y.exec_degraded);
+    // The scenario must actually exercise the control plane.
+    EXPECT_GT(x.shed_expired + x.shed_overload + x.evicted, 0u);
+    EXPECT_GT(x.faults_injected, 0u);
+    ASSERT_EQ(g.replicas.size(), 1u);
+    EXPECT_EQ(g.replicas[0].exec_shed_set_hash, x.exec_shed_set_hash);
+    EXPECT_EQ(g.replicas[0].delivered, a.completed);
+  }
+}
+
 // ---- ServerSpec builder ---------------------------------------------------
 
 TEST(ServerSpecBuilder, SingleReplicaSpecIsReproducible) {
@@ -431,6 +495,18 @@ TEST(ServerSpecBuilder, ValidateReportsEveryProblemAtOnce) {
   EXPECT_EQ(norm.num_workers, 1u);
   EXPECT_EQ(norm.batch.max_batch, 1u);
   EXPECT_EQ(clamped.normalized_replicas(), 1u);
+
+  // The replica cap is a validate() error like any other, reported in the
+  // same pass as the missing backend and dataset.
+  const auto vr = serve::ServerSpec{}.config(fleet_config()).replicas(256)
+                      .validate();
+  EXPECT_EQ(vr.errors.size(), 3u);
+  EXPECT_TRUE(std::any_of(vr.errors.begin(), vr.errors.end(),
+                          [](const std::string& e) {
+                            return e.find("255") != std::string::npos;
+                          }));
+  EXPECT_TRUE(serve::ServerSpec{}.config(fleet_config()).replicas(255)
+                  .validate().errors.size() == 2u);
 
   // The throwing constructor reports every error in one message.
   serve::ServeConfig no_slo = fleet_config();

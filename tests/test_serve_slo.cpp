@@ -423,6 +423,51 @@ serve::SloPolicy overload_policy() {
   return slo;
 }
 
+TEST(ServeSloPlanner, DisabledPolicyPlansTheTrivialLedger) {
+  // Queue bound, deadline, ladder and faults are all set, but the policy is
+  // off: plan() must ignore every one of them.
+  const auto trace = serve::make_trace(flash_traffic(), 32);
+  serve::SloPolicy slo = overload_policy();
+  slo.enabled = false;
+  serve::BatchPolicy batch;
+  batch.max_batch = 8;
+  batch.max_wait_us = 200;
+
+  const serve::Plan p = serve::plan(trace, slo, batch);
+  ASSERT_EQ(p.decisions.size(), trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const serve::Decision& d = p.decisions[i];
+    EXPECT_EQ(d.outcome, serve::Decision::Outcome::kServed) << i;
+    EXPECT_EQ(d.mode, serve::ServeMode::kPrimary) << i;
+    EXPECT_EQ(d.priority, trace[i].priority) << i;
+    EXPECT_EQ(d.deadline_us, 0u) << i;
+    EXPECT_EQ(d.attempts, 0u) << i;
+    EXPECT_EQ(d.v_done_us, 0u) << i;
+    EXPECT_EQ(d.version, 0u) << i;
+    EXPECT_FALSE(d.late) << i;
+  }
+  EXPECT_TRUE(p.transitions.empty());
+  const serve::PlanCounters& c = p.counters;
+  EXPECT_EQ(c.served, trace.size());
+  EXPECT_EQ(c.served_primary, trace.size());
+  EXPECT_EQ(c.shed_expired + c.shed_overload + c.rejected + c.evicted, 0u);
+  EXPECT_EQ(c.degraded_ladder + c.degraded_breaker + c.degraded_fallback, 0u);
+  EXPECT_EQ(c.faults_injected + c.ladder_transitions + c.breaker_opens, 0u);
+  EXPECT_EQ(p.shed_set_hash, serve::shed_set_fingerprint({}));
+
+  // Its causal oracle is exactly the legacy admit + deliver pair per id.
+  std::vector<obs::CausalTuple> legacy;
+  for (std::uint64_t id = 0; id < trace.size(); ++id) {
+    legacy.push_back(
+        {id, static_cast<std::uint8_t>(obs::EventType::kAdmit), 0, 0});
+    legacy.push_back(
+        {id, static_cast<std::uint8_t>(obs::EventType::kDeliver), 0, 0});
+  }
+  EXPECT_EQ(serve::expected_causal_fingerprint(p),
+            obs::fingerprint_tuples(legacy));
+  EXPECT_EQ(serve::expected_causal_event_count(p), legacy.size());
+}
+
 TEST(ServeSloPlanner, PlanIsDeterministicCompleteAndPolicySensitive) {
   const auto trace = serve::make_trace(flash_traffic(), 32);
   const serve::SloPolicy slo = overload_policy();

@@ -26,6 +26,7 @@
 #include "models/mlp.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/eval_context.hpp"
+#include "quant/act_quant.hpp"
 #include "quant/quant_layers.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/gemm_binary.hpp"
@@ -35,6 +36,7 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -189,6 +191,8 @@ struct HarnessConfig {
   std::size_t eval_samples = 2048, eval_trials = 16;  // noisy-eval throughput
   // conv_direct section: a VGG9-style 3×3 stride-1 layer.
   std::size_t conv_in_c = 32, conv_hw = 32, conv_out_c = 64, conv_batch = 8;
+  std::size_t act_n = 1 << 20;     // activations section: QuantTanh inputs
+  std::size_t normal_n = 1 << 20;  // normals section: floats per fill
   int reps = 5;
 };
 
@@ -751,6 +755,97 @@ Json bench_gemm_binary(const HarnessConfig& hc, std::size_t pool_threads,
   return out;
 }
 
+/// QuantTanh::infer by exact thresholds vs the libm expression it replaces,
+/// quantize_value(std::tanh(x)) per element, over N(0, 1.5²) pre-activations
+/// plus ±0, ±inf and NaN. Hard gate (tanh_match): bitwise equal outputs, NaN
+/// equal to NaN.
+Json bench_activations(const HarnessConfig& hc, bool* gate_ok) {
+  const std::size_t n = hc.act_n, levels = 9;
+  Rng rng(61);
+  Tensor x({n});
+  ops::fill_normal(x, rng, 0.0f, 1.5f);
+  const float specials[] = {0.0f, -0.0f, INFINITY, -INFINITY, NAN};
+  for (std::size_t i = 0; i < std::size(specials) && i < n; ++i)
+    x[i * (n / std::size(specials))] = specials[i];
+  const quant::QuantTanh act(levels);
+  nn::EvalContext ctx;
+  Tensor y_thr({n}), y_libm({n});
+  const auto libm = [&] {
+    for (std::size_t i = 0; i < n; ++i)
+      y_libm[i] = quant::quantize_value(std::tanh(x[i]), levels);
+  };
+  const double t_thr = time_best(hc.reps, [&] { y_thr = act.infer(x, ctx); });
+  const double t_libm = time_best(hc.reps, libm);
+  bool match = true;
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool same =
+        std::isnan(y_libm[i])
+            ? std::isnan(y_thr[i])
+            : std::memcmp(&y_thr[i], &y_libm[i], sizeof(float)) == 0;
+    match = match && same;
+  }
+  if (!match) {
+    std::fprintf(stderr,
+                 "activations GATE FAILURE: threshold QuantTanh diverged from "
+                 "quantize_value(std::tanh(x)) bitwise\n");
+    *gate_ok = false;
+  }
+  Json out = Json::object();
+  out.set("n", n);
+  out.set("levels", levels);
+  out.set("tanh_match", match);
+  out.set("threshold_ms", t_thr * 1e3);
+  out.set("libm_ms", t_libm * 1e3);
+  out.set("ns_per_element_threshold", t_thr * 1e9 / static_cast<double>(n));
+  out.set("speedup_threshold_vs_libm", t_libm / t_thr);
+  return out;
+}
+
+/// Batched normals: the dispatched Box–Muller registry entry vs the scalar
+/// entry, both through Rng::fill_normal_with. Hard gate (normal_match): the
+/// dispatched fill and the scalar fill equal n sequential float-cast
+/// normal() calls bitwise. Records the guard's recompute rate.
+Json bench_normals(const HarnessConfig& hc, bool* gate_ok) {
+  const std::size_t n = hc.normal_n;
+  const double mean = 0.0, stddev = 0.7;
+  std::vector<float> want(n), got(n), scalar(n);
+  Rng seq(62), dispatched(62), sc(62);
+  for (float& v : want) v = static_cast<float>(seq.normal(mean, stddev));
+  const std::size_t recomputed = dispatched.fill_normal_with(
+      normal_kernel(), got.data(), n, mean, stddev);
+  sc.fill_normal_with(normal_kernel_scalar(), scalar.data(), n, mean, stddev);
+  const bool match =
+      std::memcmp(got.data(), want.data(), n * sizeof(float)) == 0 &&
+      std::memcmp(scalar.data(), want.data(), n * sizeof(float)) == 0;
+  if (!match) {
+    std::fprintf(stderr,
+                 "normals GATE FAILURE: fill_normal ('%s' or scalar) diverged "
+                 "from sequential normal() bitwise\n",
+                 normal_kernel().name);
+    *gate_ok = false;
+  }
+  Rng timing(63);
+  const double t_disp = time_best(hc.reps, [&] {
+    timing.fill_normal_with(normal_kernel(), got.data(), n, mean, stddev);
+  });
+  const double t_scalar = time_best(hc.reps, [&] {
+    timing.fill_normal_with(normal_kernel_scalar(), got.data(), n, mean,
+                            stddev);
+  });
+  Json out = Json::object();
+  out.set("n", n);
+  out.set("kernel", normal_kernel().name);
+  out.set("normal_match", match);
+  out.set("dispatched_ms", t_disp * 1e3);
+  out.set("scalar_ms", t_scalar * 1e3);
+  out.set("ns_per_normal_dispatched", t_disp * 1e9 / static_cast<double>(n));
+  out.set("speedup_dispatched_vs_scalar", t_scalar / t_disp);
+  out.set("fallback_pairs", recomputed);
+  out.set("fallback_rate",
+          static_cast<double>(recomputed) / static_cast<double>(n / 2));
+  return out;
+}
+
 /// Trial-parallel noisy evaluation: sequential oracle vs the pool-dispatched
 /// evaluator, with a correctness gate (the two must be bitwise equal — any
 /// mismatch fails the harness). Records trial throughput so CI tracks the
@@ -876,6 +971,15 @@ int run_harness(const HarnessConfig& hc) {
   doc.set("pulse_mvm_device_model",
           bench_pulse_mvm(hc, /*device_model=*/true, &gate_ok));
 
+  std::printf("[activations] %zu QuantTanh inputs (thresholds vs libm, "
+              "bitwise gate)...\n", hc.act_n);
+  doc.set("activations", bench_activations(hc, &gate_ok));
+
+  std::printf("[normals] %zu floats kernel=%s (dispatched vs scalar "
+              "Box-Muller, bitwise gate)...\n",
+              hc.normal_n, normal_kernel().name);
+  doc.set("normals", bench_normals(hc, &gate_ok));
+
   std::printf("[eval trials] %zu samples x %zu trials (sequential oracle vs "
               "trial-parallel, %zu threads)...\n",
               hc.eval_samples, hc.eval_trials, pool_threads);
@@ -912,8 +1016,9 @@ int main(int argc, char** argv) {
     }
     if (arg == "--cpu-info") {
       // CI step: document the ISA the runner actually exercises.
-      std::printf("binary_kernel: %s\ncpu_features: %s\n",
+      std::printf("binary_kernel: %s\nnormal_kernel: %s\ncpu_features: %s\n",
                   gbo::gemm::binary_kernel_name(),
+                  gbo::normal_kernel().name,
                   gbo::gemm::cpu_features().c_str());
       return 0;
     }
@@ -930,6 +1035,8 @@ int main(int argc, char** argv) {
       hc.conv_hw = 16;
       hc.conv_out_c = 32;
       hc.conv_batch = 4;
+      hc.act_n = 1 << 16;
+      hc.normal_n = 1 << 18;
       hc.reps = 2;
     } else if (arg == "--json" && i + 1 < argc) {
       hc.json_path = argv[++i];

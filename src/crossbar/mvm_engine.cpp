@@ -138,11 +138,9 @@ Tensor MvmEngine::run_pulse_level_streams(const Tensor& activations,
       if (stride > 0)
         array_.fill_read_noise(group, rng,
                                read_noise + i * stride + s * group_rn);
-      if (has_sigma) {
-        float* sn = out_noise + i * bn + s * group_bn;
-        for (std::size_t j = 0; j < group_bn; ++j)
-          sn[j] = static_cast<float>(rng.normal(0.0, cfg_.sigma));
-      }
+      if (has_sigma)
+        rng.fill_normal(out_noise + i * bn + s * group_bn, group_bn, 0.0,
+                        cfg_.sigma);
     }
   }
 
@@ -238,9 +236,7 @@ Tensor MvmEngine::run_analytic(const Tensor& activations, Rng& rng) const {
   ops::scale_inplace(out, scale_);
   if (cfg_.sigma > 0.0) {
     const double std = cfg_.sigma * std::sqrt(cfg_.spec.noise_variance_factor());
-    float* p = out.data();
-    for (std::size_t i = 0; i < out.numel(); ++i)
-      p[i] += static_cast<float>(rng.normal(0.0, std));
+    ops::add_normal(out.data(), out.numel(), rng, std);
   }
   return out;
 }

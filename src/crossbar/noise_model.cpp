@@ -1,5 +1,7 @@
 #include "crossbar/noise_model.hpp"
 
+#include "tensor/ops.hpp"
+
 namespace gbo::xbar {
 
 void GaussianNoiseHook::snap_input(Tensor& x) const {
@@ -21,9 +23,7 @@ void GaussianNoiseHook::snap_input(Tensor& x) const {
 void GaussianNoiseHook::add_output_noise(Tensor& out, Rng& rng) const {
   if (sigma_ <= 0.0) return;
   const double std = sigma_ * std::sqrt(spec_.noise_variance_factor());
-  float* p = out.data();
-  for (std::size_t i = 0; i < out.numel(); ++i)
-    p[i] += static_cast<float>(rng.normal(0.0, std));
+  ops::add_normal(out.data(), out.numel(), rng, std);
 }
 
 void GaussianNoiseHook::on_input(Tensor& x) {
@@ -58,8 +58,7 @@ void GaussianNoiseHook::infer_output_rows(Tensor& out, Rng* rngs,
   // Row r consumes exactly the `row` normals infer_output would draw for a
   // unit batch holding row r — same std, same element order.
   for (std::size_t r = 0; r < num_streams; ++r)
-    for (std::size_t j = 0; j < row; ++j)
-      p[r * row + j] += static_cast<float>(rngs[r].normal(0.0, std));
+    ops::add_normal(p + r * row, row, rngs[r], std);
 }
 
 }  // namespace gbo::xbar

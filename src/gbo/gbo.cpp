@@ -17,64 +17,36 @@ std::vector<std::size_t> GboConfig::pulse_lengths() const {
   return out;
 }
 
+std::vector<double> scheme_stds(double sigma,
+                                const std::vector<std::size_t>& pulses) {
+  // Thermometer variance factor at n_k pulses: σ²/n_k (Eq. 4 with n·p
+  // realized pulses).
+  std::vector<double> stds;
+  for (std::size_t n : pulses)
+    stds.push_back(sigma / std::sqrt(static_cast<double>(n)));
+  return stds;
+}
+
 GboLayerState::GboLayerState(const GboConfig& cfg, Rng rng)
-    : cfg_(cfg), pulses_(cfg.pulse_lengths()), rng_(rng) {
+    : cfg_(cfg), pulses_(cfg.pulse_lengths()), rng_(rng),
+      noise_(scheme_stds(cfg.sigma, pulses_)) {
   if (pulses_.empty()) throw std::invalid_argument("GBO: empty scale set");
   // λ starts uniform (all schemes equally likely).
   lambda_ = nn::Param("lambda", Tensor({pulses_.size()}));
 }
 
-std::vector<double> GboLayerState::alpha() const {
-  const std::size_t m = pulses_.size();
-  std::vector<double> a(m);
-  double mx = lambda_.value[0];
-  for (std::size_t k = 1; k < m; ++k)
-    mx = std::max(mx, static_cast<double>(lambda_.value[k]));
-  double denom = 0.0;
-  for (std::size_t k = 0; k < m; ++k) {
-    a[k] = std::exp(static_cast<double>(lambda_.value[k]) - mx);
-    denom += a[k];
-  }
-  for (double& v : a) v /= denom;
-  return a;
-}
+std::vector<double> GboLayerState::alpha() const { return softmax(lambda_); }
 
 void GboLayerState::on_forward(Tensor& out) {
-  const std::size_t m = pulses_.size();
   cached_alpha_ = alpha();
-  cached_noise_.assign(m, Tensor());
-  for (std::size_t k = 0; k < m; ++k) {
-    // Thermometer variance factor at n_k pulses: σ²/n_k (Eq. 4 with n·p
-    // realized pulses).
-    const double std = cfg_.sigma / std::sqrt(static_cast<double>(pulses_[k]));
-    Tensor eps(out.shape());
-    ops::fill_normal(eps, rng_, 0.0f, static_cast<float>(std));
-    ops::axpy_inplace(out, static_cast<float>(cached_alpha_[k]), eps);
-    cached_noise_[k] = std::move(eps);
-  }
+  const std::vector<float> coeffs(cached_alpha_.begin(), cached_alpha_.end());
+  noise_.draw(out, rng_, coeffs.data());
 }
 
 void GboLayerState::on_backward(const Tensor& grad_out) {
-  const std::size_t m = pulses_.size();
-  if (cached_noise_.size() != m)
-    throw std::logic_error("GboLayerState: backward without forward");
-
   // c_k = <grad_out, ε_k>; then (Eq. 7, softmax jacobian)
   // ∂L/∂λ_j = α_j (c_j - Σ_k α_k c_k).
-  std::vector<double> c(m, 0.0);
-  for (std::size_t k = 0; k < m; ++k) {
-    const float* g = grad_out.data();
-    const float* e = cached_noise_[k].data();
-    double acc = 0.0;
-    for (std::size_t i = 0; i < grad_out.numel(); ++i)
-      acc += static_cast<double>(g[i]) * e[i];
-    c[k] = acc;
-  }
-  double mean_c = 0.0;
-  for (std::size_t k = 0; k < m; ++k) mean_c += cached_alpha_[k] * c[k];
-  for (std::size_t j = 0; j < m; ++j)
-    lambda_.grad[j] +=
-        static_cast<float>(cached_alpha_[j] * (c[j] - mean_c));
+  accumulate_lambda_grad(lambda_, cached_alpha_, noise_.dots(grad_out));
 }
 
 void GboLayerState::accumulate_latency_grad() {

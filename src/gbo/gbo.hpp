@@ -19,6 +19,7 @@
 #include "common/rng.hpp"
 #include "data/dataloader.hpp"
 #include "encoding/pla.hpp"
+#include "gbo/noise_mixture.hpp"
 #include "nn/optim.hpp"
 #include "nn/sequential.hpp"
 #include "quant/quant_layers.hpp"
@@ -42,6 +43,10 @@ struct GboConfig {
   /// The realizable pulse lengths round(scale * p) for each scheme.
   std::vector<std::size_t> pulse_lengths() const;
 };
+
+/// Per-scheme noise std σ/sqrt(n_k) of thermometer schemes at n_k pulses.
+std::vector<double> scheme_stds(double sigma,
+                                const std::vector<std::size_t>& pulses);
 
 /// Per-layer GBO state: the λ logits and the Eq. 5 noise-mixture hook.
 class GboLayerState : public quant::MvmNoiseHook {
@@ -76,7 +81,7 @@ class GboLayerState : public quant::MvmNoiseHook {
   std::vector<std::size_t> pulses_;  // n_k · p per scheme
   nn::Param lambda_;                 // [m]
   Rng rng_;
-  std::vector<Tensor> cached_noise_;  // ε_k of the last forward
+  NoiseMixture noise_;  // ε_k of the last forward
   std::vector<double> cached_alpha_;
 };
 

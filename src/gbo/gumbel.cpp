@@ -23,7 +23,7 @@ double sample_gumbel(Rng& rng) {
 
 GumbelLayerState::GumbelLayerState(const GumbelConfig& cfg, Rng rng)
     : cfg_(cfg), pulses_(cfg.base.pulse_lengths()), rng_(rng),
-      tau_(cfg.tau_start) {
+      tau_(cfg.tau_start), noise_(scheme_stds(cfg.base.sigma, pulses_)) {
   if (pulses_.empty())
     throw std::invalid_argument("GumbelGbo: empty scale set");
   if (cfg_.tau_start <= 0.0 || cfg_.tau_end <= 0.0)
@@ -37,20 +37,7 @@ void GumbelLayerState::set_temperature(double tau) {
   tau_ = tau;
 }
 
-std::vector<double> GumbelLayerState::alpha() const {
-  const std::size_t m = pulses_.size();
-  std::vector<double> a(m);
-  double mx = lambda_.value[0];
-  for (std::size_t k = 1; k < m; ++k)
-    mx = std::max(mx, static_cast<double>(lambda_.value[k]));
-  double denom = 0.0;
-  for (std::size_t k = 0; k < m; ++k) {
-    a[k] = std::exp(static_cast<double>(lambda_.value[k]) - mx);
-    denom += a[k];
-  }
-  for (double& v : a) v /= denom;
-  return a;
-}
+std::vector<double> GumbelLayerState::alpha() const { return softmax(lambda_); }
 
 void GumbelLayerState::on_forward(Tensor& out) {
   const std::size_t m = pulses_.size();
@@ -70,51 +57,28 @@ void GumbelLayerState::on_forward(Tensor& out) {
   for (double& v : cached_y_) v /= denom;
 
   // Per-scheme noise samples (needed for the backward pass either way).
-  cached_noise_.assign(m, Tensor());
-  for (std::size_t k = 0; k < m; ++k) {
-    const double std = cfg_.base.sigma /
-                       std::sqrt(static_cast<double>(pulses_[k]));
-    Tensor eps(out.shape());
-    ops::fill_normal(eps, rng_, 0.0f, static_cast<float>(std));
-    cached_noise_[k] = std::move(eps);
-  }
-
   if (cfg_.hard) {
     // Straight-through: the forward pass adds exactly one scheme's noise
     // (what inference does); gradients pretend the soft mixture was used.
+    noise_.draw(out, rng_, nullptr);
     std::size_t j = 0;
     for (std::size_t k = 1; k < m; ++k)
       if (cached_y_[k] > cached_y_[j]) j = k;
-    ops::axpy_inplace(out, 1.0f, cached_noise_[j]);
+    noise_.add(out, j, 1.0f);
   } else {
-    for (std::size_t k = 0; k < m; ++k)
-      ops::axpy_inplace(out, static_cast<float>(cached_y_[k]),
-                        cached_noise_[k]);
+    const std::vector<float> coeffs(cached_y_.begin(), cached_y_.end());
+    noise_.draw(out, rng_, coeffs.data());
   }
 }
 
 void GumbelLayerState::on_backward(const Tensor& grad_out) {
-  const std::size_t m = pulses_.size();
-  if (cached_noise_.size() != m || cached_y_.size() != m)
+  if (cached_y_.size() != pulses_.size())
     throw std::logic_error("GumbelLayerState: backward without forward");
 
   // Through the relaxation, out = Σ y_k ε_k with y = softmax(z/τ),
   // z = λ + g. With c_k = <grad_out, ε_k>:
   //   ∂L/∂λ_j = (1/τ) · y_j (c_j - Σ_k y_k c_k).
-  std::vector<double> c(m, 0.0);
-  for (std::size_t k = 0; k < m; ++k) {
-    const float* g = grad_out.data();
-    const float* e = cached_noise_[k].data();
-    double acc = 0.0;
-    for (std::size_t i = 0; i < grad_out.numel(); ++i)
-      acc += static_cast<double>(g[i]) * e[i];
-    c[k] = acc;
-  }
-  double mean_c = 0.0;
-  for (std::size_t k = 0; k < m; ++k) mean_c += cached_y_[k] * c[k];
-  for (std::size_t j = 0; j < m; ++j)
-    lambda_.grad[j] +=
-        static_cast<float>(cached_y_[j] * (c[j] - mean_c) / tau_);
+  accumulate_lambda_grad(lambda_, cached_y_, noise_.dots(grad_out), tau_);
 }
 
 void GumbelLayerState::accumulate_latency_grad() {

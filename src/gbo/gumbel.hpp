@@ -64,7 +64,7 @@ class GumbelLayerState : public quant::MvmNoiseHook {
   nn::Param lambda_;
   Rng rng_;
   double tau_;
-  std::vector<Tensor> cached_noise_;
+  NoiseMixture noise_;
   std::vector<double> cached_y_;
 };
 

@@ -53,60 +53,34 @@ float evaluate_selection(const nn::Sequential& net,
   return core::evaluate_noisy(net, ctrl, test, trials, batch_size);
 }
 
+namespace {
+
+std::vector<double> candidate_stds(const MixedGboConfig& cfg) {
+  std::vector<double> stds;
+  for (const SchemeCandidate& c : cfg.candidates)
+    stds.push_back(cfg.sigma * std::sqrt(c.variance_factor()));
+  return stds;
+}
+
+}  // namespace
+
 MixedLayerState::MixedLayerState(const MixedGboConfig& cfg, Rng rng)
-    : cfg_(cfg), rng_(rng) {
+    : cfg_(cfg), rng_(rng), noise_(candidate_stds(cfg)) {
   if (cfg_.candidates.empty())
     throw std::invalid_argument("MixedGbo: empty candidate set");
   lambda_ = nn::Param("lambda", Tensor({cfg_.candidates.size()}));
 }
 
-std::vector<double> MixedLayerState::alpha() const {
-  const std::size_t m = cfg_.candidates.size();
-  std::vector<double> a(m);
-  double mx = lambda_.value[0];
-  for (std::size_t k = 1; k < m; ++k)
-    mx = std::max(mx, static_cast<double>(lambda_.value[k]));
-  double denom = 0.0;
-  for (std::size_t k = 0; k < m; ++k) {
-    a[k] = std::exp(static_cast<double>(lambda_.value[k]) - mx);
-    denom += a[k];
-  }
-  for (double& v : a) v /= denom;
-  return a;
-}
+std::vector<double> MixedLayerState::alpha() const { return softmax(lambda_); }
 
 void MixedLayerState::on_forward(Tensor& out) {
-  const std::size_t m = cfg_.candidates.size();
   cached_alpha_ = alpha();
-  cached_noise_.assign(m, Tensor());
-  for (std::size_t k = 0; k < m; ++k) {
-    const double std =
-        cfg_.sigma * std::sqrt(cfg_.candidates[k].variance_factor());
-    Tensor eps(out.shape());
-    ops::fill_normal(eps, rng_, 0.0f, static_cast<float>(std));
-    ops::axpy_inplace(out, static_cast<float>(cached_alpha_[k]), eps);
-    cached_noise_[k] = std::move(eps);
-  }
+  const std::vector<float> coeffs(cached_alpha_.begin(), cached_alpha_.end());
+  noise_.draw(out, rng_, coeffs.data());
 }
 
 void MixedLayerState::on_backward(const Tensor& grad_out) {
-  const std::size_t m = cfg_.candidates.size();
-  if (cached_noise_.size() != m)
-    throw std::logic_error("MixedLayerState: backward without forward");
-  std::vector<double> c(m, 0.0);
-  for (std::size_t k = 0; k < m; ++k) {
-    const float* g = grad_out.data();
-    const float* e = cached_noise_[k].data();
-    double acc = 0.0;
-    for (std::size_t i = 0; i < grad_out.numel(); ++i)
-      acc += static_cast<double>(g[i]) * e[i];
-    c[k] = acc;
-  }
-  double mean_c = 0.0;
-  for (std::size_t k = 0; k < m; ++k) mean_c += cached_alpha_[k] * c[k];
-  for (std::size_t j = 0; j < m; ++j)
-    lambda_.grad[j] +=
-        static_cast<float>(cached_alpha_[j] * (c[j] - mean_c));
+  accumulate_lambda_grad(lambda_, cached_alpha_, noise_.dots(grad_out));
 }
 
 void MixedLayerState::accumulate_latency_grad() {

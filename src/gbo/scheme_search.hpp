@@ -96,7 +96,7 @@ class MixedLayerState : public quant::MvmNoiseHook {
   MixedGboConfig cfg_;
   nn::Param lambda_;
   Rng rng_;
-  std::vector<Tensor> cached_noise_;
+  NoiseMixture noise_;
   std::vector<double> cached_alpha_;
 };
 

@@ -21,12 +21,20 @@ float quantize_value(float x, std::size_t levels);
 Tensor quantize(const Tensor& x, std::size_t levels);
 
 /// The discrete level index in [0, levels-1] for a value in [-1, 1].
+/// Throws std::domain_error for NaN.
 std::size_t level_index(float x, std::size_t levels);
 
 /// Tanh + uniform quantization with STE.
+///
+/// The output quantize_value(std::tanh(x), levels) is a monotone step
+/// function of x, so the constructor finds its levels-1 step thresholds
+/// once (bisection over the ordered float bit patterns, with the same
+/// std::tanh and quantize_value) and the hot loops count the thresholds at
+/// or below x instead of calling libm: bitwise the same output for every
+/// float, NaN included (DESIGN.md §12).
 class QuantTanh : public gbo::nn::Module {
  public:
-  explicit QuantTanh(std::size_t levels = 9) : levels_(levels) {}
+  explicit QuantTanh(std::size_t levels = 9);
 
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
@@ -35,8 +43,17 @@ class QuantTanh : public gbo::nn::Module {
 
   std::size_t levels() const { return levels_; }
 
+  /// thresholds()[j-1] is the least float x whose output is level >= j.
+  const std::vector<float>& thresholds() const { return thresholds_; }
+
  private:
+  /// q[i] = quantize_value(std::tanh(x[i]), levels_) by threshold count;
+  /// x and q must not overlap.
+  void quantize_tanh(const float* __restrict x, float* __restrict q,
+                     std::size_t n) const;
+
   std::size_t levels_;
+  std::vector<float> thresholds_;
   Tensor cached_tanh_;
 };
 

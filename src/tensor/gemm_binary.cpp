@@ -1,5 +1,6 @@
 #include "tensor/gemm_binary.hpp"
 
+#include "common/cpu.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/trace.hpp"
 
@@ -11,10 +12,7 @@
 #include <cstring>
 #include <vector>
 
-#if (defined(__x86_64__) || defined(__i386__)) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define GBO_BINARY_X86 1
-#include <cpuid.h>
+#if defined(GBO_X86)
 #include <immintrin.h>
 #endif
 
@@ -99,7 +97,7 @@ void encode_codes_row_scalar(const std::uint8_t* c, std::size_t k,
                     planes + w, ldp);
 }
 
-#if defined(GBO_BINARY_X86)
+#if defined(GBO_X86)
 
 // GCC 12's AVX-512 intrinsic headers seed results with self-initialized
 // _mm512_undefined_*() values, a known -Wmaybe-uninitialized false positive
@@ -426,7 +424,7 @@ __attribute__((target("avx512f,avx512bw"))) void encode_codes_row_avx512(
 
 #pragma GCC diagnostic pop
 
-#endif  // GBO_BINARY_X86
+#endif  // GBO_X86
 
 #if defined(__ARM_NEON)
 
@@ -459,7 +457,7 @@ void xpr_neon(const std::uint64_t* a, const std::uint64_t* W, std::size_t n,
 
 constexpr BinaryKernel kScalarKernel{"scalar", &xpr_scalar, &grid_codes_scalar,
                                      &encode_codes_row_scalar};
-#if defined(GBO_BINARY_X86)
+#if defined(GBO_X86)
 constexpr BinaryKernel kAvx2Kernel{"avx2", &xpr_avx2, &grid_codes_avx2,
                                    &encode_codes_row_avx2};
 constexpr BinaryKernel kAvx512Kernel{"avx512_vpopcntdq", &xpr_avx512,
@@ -473,60 +471,9 @@ constexpr BinaryKernel kNeonKernel{"neon", &xpr_neon, &grid_codes_scalar,
                                    &encode_codes_row_scalar};
 #endif
 
-// ---- CPUID feature probe -------------------------------------------------
-//
-// Raw CPUID + XGETBV rather than __builtin_cpu_supports: the vpopcntdq
-// string is not recognized by every toolchain this repo supports, and the
-// OS-enablement half (XCR0) must be checked explicitly anyway.
-
-#if defined(GBO_BINARY_X86)
-
-struct CpuFeatures {
-  bool avx2 = false;
-  bool avx512f = false;
-  bool avx512bw = false;
-  bool avx512vpopcntdq = false;
-};
-
-std::uint64_t read_xcr0() {
-  std::uint32_t lo, hi;
-  __asm__ volatile("xgetbv" : "=a"(lo), "=d"(hi) : "c"(0));
-  return (static_cast<std::uint64_t>(hi) << 32) | lo;
-}
-
-CpuFeatures probe_cpu() {
-  CpuFeatures f;
-  unsigned eax, ebx, ecx, edx;
-  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return f;
-  const bool osxsave = (ecx >> 27) & 1;  // OS uses XSAVE: XCR0 is readable
-  if (!osxsave) return f;
-  const std::uint64_t xcr0 = read_xcr0();
-  const bool os_avx = (xcr0 & 0x6) == 0x6;       // XMM + YMM state saved
-  const bool os_avx512 = (xcr0 & 0xe6) == 0xe6;  // + opmask, ZMM hi state
-  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) {
-    f.avx2 = os_avx && ((ebx >> 5) & 1);
-    f.avx512f = os_avx512 && ((ebx >> 16) & 1);
-    f.avx512bw = f.avx512f && ((ebx >> 30) & 1);
-    f.avx512vpopcntdq = f.avx512f && ((ecx >> 14) & 1);
-  }
-  return f;
-}
-
-const CpuFeatures& cpu() {
-  static const CpuFeatures f = probe_cpu();
-  return f;
-}
-
-#endif  // GBO_BINARY_X86
-
-bool force_scalar() {
-  const char* e = std::getenv("GBO_FORCE_SCALAR_KERNELS");
-  return e != nullptr && e[0] != '\0' && e[0] != '0';
-}
-
 std::vector<const BinaryKernel*> supported_kernels() {
   std::vector<const BinaryKernel*> ks{&kScalarKernel};
-#if defined(GBO_BINARY_X86)
+#if defined(GBO_X86)
   if (cpu().avx2) ks.push_back(&kAvx2Kernel);
   // The AVX-512 entry's encoders need BW (byte compares) on top of the
   // VPOPCNTDQ popcount kernel.
@@ -547,7 +494,7 @@ const std::vector<const BinaryKernel*>& binary_kernels() {
 
 const BinaryKernel& binary_kernel() {
   static const BinaryKernel* k =
-      force_scalar() ? &kScalarKernel : binary_kernels().back();
+      force_scalar_kernels() ? &kScalarKernel : binary_kernels().back();
   return *k;
 }
 
@@ -555,20 +502,7 @@ const BinaryKernel& binary_kernel_scalar() { return kScalarKernel; }
 
 const char* binary_kernel_name() { return binary_kernel().name; }
 
-std::string cpu_features() {
-  std::string s;
-#if defined(GBO_BINARY_X86)
-  if (cpu().avx2) s += "avx2 ";
-  if (cpu().avx512f) s += "avx512f ";
-  if (cpu().avx512bw) s += "avx512bw ";
-  if (cpu().avx512vpopcntdq) s += "avx512vpopcntdq ";
-#endif
-#if defined(__ARM_NEON)
-  s += "neon ";
-#endif
-  if (!s.empty()) s.pop_back();
-  return s;
-}
+std::string cpu_features() { return cpu_feature_string(); }
 
 std::uint64_t binary_pack_count() {
   return g_binary_packs.load(std::memory_order_relaxed);

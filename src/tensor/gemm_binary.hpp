@@ -138,8 +138,9 @@ bool pack_binary_a_with(const BinaryKernel& kern, std::size_t m,
 /// actually exercised.
 const char* binary_kernel_name();
 
-/// Runtime-detected CPU features relevant to the registry (CPUID on x86,
-/// compile-time flags elsewhere), e.g. "avx2 avx512f avx512vpopcntdq".
+/// Runtime-detected CPU features relevant to the kernel registries
+/// (common/cpu.hpp: CPUID on x86, compile-time flags elsewhere), e.g.
+/// "avx2 fma avx512f avx512bw avx512vpopcntdq".
 std::string cpu_features();
 
 /// C[m, n] = unscaled binary MVM of packed activations against packed sign

@@ -141,9 +141,17 @@ void fill_uniform(Tensor& a, Rng& rng, float lo, float hi) {
 }
 
 void fill_normal(Tensor& a, Rng& rng, float mean, float stddev) {
-  float* p = a.data();
-  for (std::size_t i = 0; i < a.numel(); ++i)
-    p[i] = static_cast<float>(rng.normal(mean, stddev));
+  rng.fill_normal(a.data(), a.numel(), mean, stddev);
+}
+
+void add_normal(float* p, std::size_t n, Rng& rng, double stddev) {
+  constexpr std::size_t kChunk = 512;
+  float noise[kChunk];  // written before it is read
+  for (std::size_t i = 0; i < n; i += kChunk) {
+    const std::size_t len = std::min(kChunk, n - i);
+    rng.fill_normal(noise, len, 0.0, stddev);
+    for (std::size_t j = 0; j < len; ++j) p[i + j] += noise[j];
+  }
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {

@@ -40,6 +40,9 @@ std::vector<std::size_t> argmax_rows(const Tensor& a);
 
 void fill_uniform(Tensor& a, Rng& rng, float lo, float hi);
 void fill_normal(Tensor& a, Rng& rng, float mean, float stddev);
+/// p[i] += static_cast<float>(rng.normal(0.0, stddev)) for i < n, in order,
+/// through the batched Rng::fill_normal.
+void add_normal(float* p, std::size_t n, Rng& rng, double stddev);
 
 // ---- GEMM -----------------------------------------------------------------
 //

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 namespace gbo::opt {
@@ -67,6 +68,50 @@ TEST(GboLayerState, ForwardAddsMixtureNoise) {
   for (std::size_t k = 0; k < pulses.size(); ++k)
     expected += (1.0 / 49.0) * 1.0 / static_cast<double>(pulses[k]);
   EXPECT_NEAR(ops::variance(out), expected, 0.1 * expected + 0.001);
+}
+
+TEST(NoiseMixture, MatchesPerSchemeDrawsAxpysAndDots) {
+  // The per-scheme formulation the helper replaces: one fresh ε tensor per
+  // scheme, a full axpy each, and one dot-product pass per scheme.
+  const std::vector<double> stds = {0.5, 1.0 / 3.0, 0.2, 1e-3};
+  const std::vector<float> coeffs = {0.1f, 0.4f, 0.3f, 0.2f};
+  Rng init(3);
+  Tensor out({3, 2777});  // > one 4096-element draw block, odd length
+  ops::fill_uniform(out, init, -1.0f, 1.0f);
+  Tensor grad(out.shape());
+  ops::fill_uniform(grad, init, -1.0f, 1.0f);
+
+  Rng rng_ref(9);
+  (void)rng_ref.normal();  // a cached sine half carried into the draws
+  Tensor want = out;
+  std::vector<Tensor> eps;
+  std::vector<double> want_c;
+  for (std::size_t k = 0; k < stds.size(); ++k) {
+    Tensor e(out.shape());
+    ops::fill_normal(e, rng_ref, 0.0f, static_cast<float>(stds[k]));
+    ops::axpy_inplace(want, coeffs[k], e);
+    double acc = 0.0;
+    for (std::size_t i = 0; i < e.numel(); ++i)
+      acc += static_cast<double>(grad[i]) * e[i];
+    want_c.push_back(acc);
+  }
+
+  Rng rng(9);
+  (void)rng.normal();
+  NoiseMixture mix(stds);
+  EXPECT_THROW(mix.dots(grad), std::logic_error);
+  Tensor got = out;
+  for (int step = 0; step < 2; ++step) {  // the ε buffer is reused
+    got = out;
+    rng = Rng(9);
+    (void)rng.normal();
+    mix.draw(got, rng, coeffs.data());
+  }
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.numel() * sizeof(float)),
+            0);
+  EXPECT_EQ(mix.dots(grad), want_c);
+  EXPECT_EQ(rng(), rng_ref());
+  EXPECT_THROW(mix.dots(Tensor({5})), std::logic_error);
 }
 
 TEST(GboLayerState, BackwardRequiresForward) {

@@ -137,6 +137,21 @@ TEST(Ops, FillNormalMoments) {
   EXPECT_NEAR(std::sqrt(ops::variance(a)), 3.0f, 0.05f);
 }
 
+TEST(Ops, AddNormalAddsTheSequentialNormals) {
+  // Crosses the 512-float draw chunk, with a cached sine half carried in.
+  Rng init(3), rng(4), ref(4);
+  (void)rng.normal();
+  (void)ref.normal();
+  Tensor a({1031});
+  ops::fill_uniform(a, init, -2.0f, 2.0f);
+  Tensor want = a;
+  for (std::size_t i = 0; i < want.numel(); ++i)
+    want[i] += static_cast<float>(ref.normal(0.0, 0.75));
+  ops::add_normal(a.data(), a.numel(), rng, 0.75);
+  for (std::size_t i = 0; i < a.numel(); ++i) EXPECT_EQ(a[i], want[i]);
+  EXPECT_EQ(rng.normal(), ref.normal());
+}
+
 TEST(Ops, FillUniformRange) {
   Rng rng(9);
   Tensor a({10000});

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace gbo::quant {
 namespace {
@@ -75,6 +76,12 @@ TEST(ActQuant, TwoLevelIsSign) {
 TEST(ActQuant, RejectsDegenerateLevels) {
   EXPECT_THROW(quantize_value(0.0f, 1), std::invalid_argument);
   EXPECT_THROW(level_index(0.0f, 0), std::invalid_argument);
+}
+
+TEST(ActQuant, LevelIndexRejectsNaN) {
+  EXPECT_THROW(level_index(std::numeric_limits<float>::quiet_NaN(), 9),
+               std::domain_error);
+  EXPECT_EQ(level_index(std::numeric_limits<float>::infinity(), 9), 8u);
 }
 
 TEST(ActQuant, LevelIndexInverse) {

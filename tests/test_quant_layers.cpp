@@ -1,12 +1,16 @@
 #include "quant/quant_layers.hpp"
 
 #include "crossbar/crossbar_layers.hpp"
+#include "quant/act_quant.hpp"
 #include "quant/binary_weight.hpp"
 #include "tensor/ops.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 
 namespace gbo::quant {
 namespace {
@@ -289,6 +293,103 @@ TEST(LayerNoiseController, IsolateLayerEnablesExactlyOne) {
   EXPECT_FALSE(ctrl.hook(0).enabled());
   EXPECT_TRUE(ctrl.hook(1).enabled());
   EXPECT_THROW(ctrl.isolate_layer(5), std::out_of_range);
+}
+
+// ---- QuantTanh: threshold lookup vs quantize_value(std::tanh(x)) ----------
+
+float from_bits(std::uint32_t b) {
+  float x = 0.0f;
+  std::memcpy(&x, &b, sizeof x);
+  return x;
+}
+
+std::uint32_t to_bits(float x) {
+  std::uint32_t b = 0;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+/// The float d ulps above x in value order (d < 0: below), skipping -0.
+float ulps_away(float x, std::int64_t d) {
+  const std::uint32_t b = to_bits(x);
+  const std::int64_t mag = b & 0x7FFFFFFFu;
+  const std::int64_t o = ((b >> 31) ? -mag : mag) + d;
+  return o < 0 ? from_bits(0x80000000u | static_cast<std::uint32_t>(-o))
+               : from_bits(static_cast<std::uint32_t>(o));
+}
+
+/// Runs infer and forward over xs and counts outputs that differ bitwise
+/// from the libm expression (NaN counts as equal to NaN).
+std::size_t tanh_mismatches(QuantTanh& act, const std::vector<float>& xs) {
+  const Tensor x({xs.size()}, xs);
+  gbo::nn::EvalContext ctx;
+  const Tensor inferred = act.infer(x, ctx);
+  const Tensor forwarded = act.forward(x);
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const float ref = quantize_value(std::tanh(xs[i]), act.levels());
+    for (float got : {inferred[i], forwarded[i]}) {
+      const bool same = std::isnan(ref) ? std::isnan(got)
+                                        : to_bits(got) == to_bits(ref);
+      if (!same) ++bad;
+    }
+  }
+  return bad;
+}
+
+TEST(QuantTanh, ThresholdsAreTheLibmStepsBitwise) {
+  // Every float within ±2^18 ulps of each step threshold, at every level
+  // count; the ulp walk crosses ±0 and runs into the subnormals.
+  for (std::size_t levels : {2u, 3u, 5u, 9u, 17u}) {
+    QuantTanh act(levels);
+    ASSERT_EQ(act.thresholds().size(), levels - 1);
+    std::vector<float> xs;
+    for (float t : act.thresholds())
+      for (std::int64_t d = -(1 << 18); d <= (1 << 18); ++d)
+        xs.push_back(ulps_away(t, d));
+    EXPECT_EQ(tanh_mismatches(act, xs), 0u) << "levels " << levels;
+    // A threshold is a step: the level changes between its predecessor and
+    // it.
+    for (float t : act.thresholds()) {
+      const float below =
+          std::nextafter(t, -std::numeric_limits<float>::infinity());
+      EXPECT_LT(quantize_value(std::tanh(below), levels),
+                quantize_value(std::tanh(t), levels));
+    }
+  }
+}
+
+TEST(QuantTanh, SpecialValuesAndRandomBitPatterns) {
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> xs = {0.0f, -0.0f, inf, -inf,
+                           std::numeric_limits<float>::quiet_NaN(),
+                           -std::numeric_limits<float>::quiet_NaN(),
+                           std::numeric_limits<float>::signaling_NaN(),
+                           std::numeric_limits<float>::denorm_min(),
+                           -std::numeric_limits<float>::denorm_min(),
+                           from_bits(0x007FFFFFu), from_bits(0x807FFFFFu),
+                           std::numeric_limits<float>::min(),
+                           std::numeric_limits<float>::max(),
+                           -std::numeric_limits<float>::max()};
+  Rng rng(2026);
+  for (int i = 0; i < (1 << 20); ++i)
+    xs.push_back(from_bits(static_cast<std::uint32_t>(rng())));
+  for (std::size_t levels : {2u, 3u, 5u, 9u, 17u}) {
+    QuantTanh act(levels);
+    EXPECT_EQ(tanh_mismatches(act, xs), 0u) << "levels " << levels;
+  }
+}
+
+TEST(QuantTanh, NaNStaysNaN) {
+  QuantTanh act(9);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Tensor x({3}, std::vector<float>{-0.3f, nan, 2.0f});
+  gbo::nn::EvalContext ctx;
+  const Tensor y = act.infer(x, ctx);
+  EXPECT_FLOAT_EQ(y[0], -0.25f);
+  EXPECT_TRUE(std::isnan(y[1]));
+  EXPECT_FLOAT_EQ(y[2], 1.0f);
+  EXPECT_THROW(QuantTanh(1), std::invalid_argument);
 }
 
 }  // namespace

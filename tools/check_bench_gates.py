@@ -5,8 +5,8 @@ Machine-independent CI gating: wall-clock numbers vary wildly across
 runners, but the bitwise-equality and steady-state gates must exist and
 hold everywhere.
 
-For BENCH_mvm*.json files, every section below must be present with
-"bitwise_match": true:
+For BENCH_mvm*.json files, every section below must be present with its
+boolean gates true ("bitwise_match" unless named otherwise):
 
     gemm_packed             packed-panel GEMM == unpacked blocked GEMM
     gemm_prepacked          cached prepacked weight panels == fresh pack,
@@ -20,6 +20,10 @@ For BENCH_mvm*.json files, every section below must be present with
                             encoders == scalar (encoder_match), and one
                             sign-word repack per weight version
                             (repack_once)
+    activations             threshold QuantTanh == quantize_value(tanh(x))
+                            (tanh_match only)
+    normals                 dispatched and scalar batched Box-Muller fills
+                            == sequential normal() (normal_match only)
 
 For BENCH_serve*.json files ("bench": "serve"), the document-level
 "gates_ok" must be true and every scenario (any object carrying a
@@ -126,26 +130,24 @@ Usage: check_bench_gates.py BENCH_mvm.json [BENCH_serve.json ...]
 import json
 import sys
 
-GATED_SECTIONS = [
-    "gemm_packed",
-    "gemm_prepacked",
-    "conv_direct",
-    "eval_trials",
-    "pulse_mvm",
-    "pulse_mvm_device_model",
-    "gemm_binary",
-]
-
-# Extra boolean gates demanded of specific BENCH_mvm sections beyond
-# bitwise_match.
-SECTION_EXTRA_GATES = {
-    "gemm_binary": ["repack_once", "encoder_match"],
+# Boolean gates every BENCH_mvm section must carry as true.
+SECTION_GATES = {
+    "gemm_packed": ["bitwise_match"],
+    "gemm_prepacked": ["bitwise_match"],
+    "conv_direct": ["bitwise_match"],
+    "eval_trials": ["bitwise_match"],
+    "pulse_mvm": ["bitwise_match"],
+    "pulse_mvm_device_model": ["bitwise_match"],
+    "gemm_binary": ["bitwise_match", "repack_once", "encoder_match"],
+    "activations": ["tanh_match"],
+    "normals": ["normal_match"],
 }
 
 # Non-boolean keys that must be present (documenting what ran), e.g. the
 # dispatched micro-kernel name in the CI artifact.
 SECTION_REQUIRED_KEYS = {
     "gemm_binary": ["kernel", "cpu_features"],
+    "normals": ["kernel"],
 }
 
 SERVE_SCENARIO_GATES = [
@@ -228,6 +230,11 @@ TRAJECTORY = [
     ("gemm_binary", None, "pack_share_1t", "binary encode share 1t"),
     ("gemm_binary", None, "speedup_cached_vs_cold_1t",
      "binary cached/cold pack (x)"),
+    ("activations", None, "speedup_threshold_vs_libm",
+     "QuantTanh thresholds/libm (x)"),
+    ("normals", None, "speedup_dispatched_vs_scalar",
+     "normals dispatched/scalar Box-Muller (x)"),
+    ("normals", None, "fallback_rate", "normals guard recompute rate"),
     ("pulse_mvm", None, "speedup_fused", "pulse fused/reference (x)"),
     ("eval_trials", None, "trials_per_sec_mt", "eval trials/s mt"),
 ]
@@ -235,16 +242,12 @@ TRAJECTORY = [
 
 def check_mvm(path, doc):
     failures = []
-    for section in GATED_SECTIONS:
+    for section, gates in SECTION_GATES.items():
         node = doc.get(section)
         if not isinstance(node, dict):
             failures.append(f"{path}: section '{section}' missing")
             continue
-        match = node.get("bitwise_match")
-        if match is not True:
-            failures.append(
-                f"{path}: {section}.bitwise_match is {match!r}, expected true")
-        for gate in SECTION_EXTRA_GATES.get(section, []):
+        for gate in gates:
             if node.get(gate) is not True:
                 failures.append(
                     f"{path}: {section}.{gate} is {node.get(gate)!r}, "

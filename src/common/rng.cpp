@@ -130,10 +130,10 @@ Rng Rng::fork(std::uint64_t stream) const {
 
 // ---- batched Box–Muller registry (DESIGN.md §12) ---------------------------
 //
-// The vector entries evaluate ln, sqrt and sincos in SIMD: fdlibm's log
+// The AVX2+FMA entry evaluates ln, sqrt and sincos in SIMD: fdlibm's log
 // reduction and polynomial, a hardware sqrt, and a three-part Cody–Waite
 // reduction of θ by π/2 feeding fdlibm's sin/cos kernels on |y| <= π/4.
-// Their relative error is a few ulps (budget: 2^-44). Each result is then
+// Its relative error is a few ulps (budget: 2^-44). Each result is then
 // guarded: when mean + stddev·z lies within |stddev·z|·2^-42 + 2^-51·|d|
 // of a float rounding boundary, the pair is recomputed with box_muller and
 // scale_normal, so every float written is the scalar one.
@@ -205,151 +205,13 @@ __attribute__((noinline)) void scalar_pair(double u1, double u2, double mean,
   (void)transform_scalar(&u1, &u2, 1, mean, stddev, out);
 }
 
-// GCC 12's AVX-512 intrinsic headers seed results with self-initialized
-// _mm512_undefined_*() values, a known -Wmaybe-uninitialized false positive
-// once they inline here.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-
-#define GBO_AVX512 __attribute__((target("avx512f")))
 #define GBO_AVX2 __attribute__((target("avx2,fma")))
-
-// ---- AVX-512: 8 pairs per step --------------------------------------------
-
-GBO_AVX512 inline __m512d set8(double v) { return _mm512_set1_pd(v); }
-
-// c0 + x·(c1 + x·(c2 + ...)), Horner.
-GBO_AVX512 inline __m512d poly8(__m512d, double c) { return set8(c); }
-template <class... Cs>
-GBO_AVX512 inline __m512d poly8(__m512d x, double c0, Cs... cs) {
-  return _mm512_fmadd_pd(poly8(x, cs...), x, set8(c0));
-}
-
-GBO_AVX512 inline void bm8(const double* u1p, const double* u2p, __m512d& zc,
-                           __m512d& zs) {
-  // ln u1 (u1 in [2^-53, 1), always normal): u1 = m·2^e, m in [√2/2, √2).
-  const __m512d u1 = _mm512_loadu_pd(u1p);
-  const __m512i bits = _mm512_castpd_si512(u1);
-  __m512d e = _mm512_sub_pd(
-      _mm512_castsi512_pd(_mm512_or_si512(
-          _mm512_srli_epi64(bits, 52), _mm512_castpd_si512(set8(kTwoP52)))),
-      set8(kTwoP52 + 1023.0));
-  __m512d m = _mm512_castsi512_pd(_mm512_or_si512(
-      _mm512_and_si512(bits, _mm512_set1_epi64(0x000FFFFFFFFFFFFFll)),
-      _mm512_castpd_si512(set8(1.0))));
-  const __mmask8 big = _mm512_cmp_pd_mask(m, set8(kSqrt2), _CMP_GT_OQ);
-  m = _mm512_mask_mul_pd(m, big, m, set8(0.5));
-  e = _mm512_mask_add_pd(e, big, e, set8(1.0));
-  const __m512d f = _mm512_sub_pd(m, set8(1.0));
-  const __m512d s = _mm512_div_pd(f, _mm512_add_pd(set8(2.0), f));
-  const __m512d z = _mm512_mul_pd(s, s);
-  const __m512d w = _mm512_mul_pd(z, z);
-  const __m512d t1 = _mm512_mul_pd(w, poly8(w, kLg2, kLg4, kLg6));
-  const __m512d t2 = _mm512_mul_pd(z, poly8(w, kLg1, kLg3, kLg5, kLg7));
-  const __m512d hfsq = _mm512_mul_pd(set8(0.5), _mm512_mul_pd(f, f));
-  const __m512d inner =
-      _mm512_fmadd_pd(s, _mm512_add_pd(hfsq, _mm512_add_pd(t1, t2)),
-                      _mm512_mul_pd(e, set8(kLn2Lo)));
-  const __m512d ln = _mm512_fmsub_pd(
-      e, set8(kLn2Hi), _mm512_sub_pd(_mm512_sub_pd(hfsq, inner), f));
-  const __m512d r = _mm512_sqrt_pd(_mm512_mul_pd(set8(-2.0), ln));
-
-  // θ = 2π·u2, k = round(θ·2/π), y = θ - k·π/2 in three parts.
-  const __m512d theta = _mm512_mul_pd(set8(kTwoPi), _mm512_loadu_pd(u2p));
-  const __m512d kr = _mm512_fmadd_pd(theta, set8(kInvPio2), set8(kRound));
-  const __m512d k = _mm512_sub_pd(kr, set8(kRound));
-  __m512d y = _mm512_fnmadd_pd(k, set8(kPio2a), theta);
-  y = _mm512_fnmadd_pd(k, set8(kPio2b), y);
-  y = _mm512_fnmadd_pd(k, set8(kPio2c), y);
-  const __m512d y2 = _mm512_mul_pd(y, y);
-  const __m512d sin_y = _mm512_fmadd_pd(
-      _mm512_mul_pd(y, y2), poly8(y2, kS1, kS2, kS3, kS4, kS5, kS6), y);
-  const __m512d hz = _mm512_mul_pd(set8(0.5), y2);
-  const __m512d one_m_hz = _mm512_sub_pd(set8(1.0), hz);
-  const __m512d cr =
-      _mm512_mul_pd(y2, poly8(y2, kC1, kC2, kC3, kC4, kC5, kC6));
-  const __m512d tail = _mm512_sub_pd(_mm512_sub_pd(set8(1.0), one_m_hz), hz);
-  const __m512d cos_y =
-      _mm512_add_pd(one_m_hz, _mm512_fmadd_pd(y2, cr, tail));
-  // Quadrant q = k mod 4: odd q swaps sin and cos; cos θ is negative for
-  // q in {1, 2}, sin θ for q in {2, 3}.
-  const __m512i one = _mm512_set1_epi64(1), two = _mm512_set1_epi64(2);
-  const __m512i q = _mm512_and_si512(_mm512_castpd_si512(kr),
-                                     _mm512_set1_epi64(3));
-  const __mmask8 odd = _mm512_test_epi64_mask(q, one);
-  const __m512i cs =
-      _mm512_castpd_si512(_mm512_mask_blend_pd(odd, cos_y, sin_y));
-  const __m512i sn =
-      _mm512_castpd_si512(_mm512_mask_blend_pd(odd, sin_y, cos_y));
-  const __m512i c_sign = _mm512_slli_epi64(
-      _mm512_and_si512(_mm512_add_epi64(q, one), two), 62);
-  const __m512i s_sign = _mm512_slli_epi64(_mm512_and_si512(q, two), 62);
-  zc = _mm512_mul_pd(r, _mm512_castsi512_pd(_mm512_xor_si512(cs, c_sign)));
-  zs = _mm512_mul_pd(r, _mm512_castsi512_pd(_mm512_xor_si512(sn, s_sign)));
-}
-
-// d = mean + stddev·z rounded to float, and the lanes whose guard band
-// [d - band, d + band] straddles a float rounding boundary (nonzero).
-GBO_AVX512 inline __m256 round8(__m512d z, __m512d mean, __m512d stddev,
-                                __m256i& unsafe) {
-  const __m512d p = _mm512_mul_pd(stddev, z);
-  const __m512d d = _mm512_add_pd(mean, p);
-  const __m512d band = _mm512_fmadd_pd(
-      _mm512_abs_pd(p), set8(kGuardRel),
-      _mm512_fmadd_pd(_mm512_abs_pd(d), set8(kGuardAbs), set8(kGuardMin)));
-  const __m256 lo = _mm512_cvtpd_ps(_mm512_sub_pd(d, band));
-  const __m256 hi = _mm512_cvtpd_ps(_mm512_add_pd(d, band));
-  unsafe = _mm256_or_si256(unsafe, _mm256_xor_si256(_mm256_castps_si256(lo),
-                                                    _mm256_castps_si256(hi)));
-  return _mm512_cvtpd_ps(d);
-}
-
-GBO_AVX512 std::size_t transform_avx512(const double* u1, const double* u2,
-                                        std::size_t pairs, double mean,
-                                        double stddev, float* out) {
-  const __m512d vm = set8(mean), vs = set8(stddev);
-  const __m512i interleave = _mm512_setr_epi32(0, 16, 1, 17, 2, 18, 3, 19, 4,
-                                               20, 5, 21, 6, 22, 7, 23);
-  std::size_t p = 0, recomputed = 0;
-  for (; p + 8 <= pairs; p += 8) {
-    __m512d zc, zs;
-    bm8(u1 + p, u2 + p, zc, zs);
-    __m256i unsafe = _mm256_setzero_si256();
-    const __m256 fc = round8(zc, vm, vs, unsafe);
-    const __m256 fs = round8(zs, vm, vs, unsafe);
-    _mm512_storeu_ps(out + 2 * p, _mm512_permutex2var_ps(
-                                      _mm512_castps256_ps512(fc), interleave,
-                                      _mm512_castps256_ps512(fs)));
-    if (!_mm256_testz_si256(unsafe, unsafe)) {
-      alignas(32) std::uint32_t lanes[8];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), unsafe);
-      for (std::size_t l = 0; l < 8; ++l)
-        if (lanes[l] != 0) {
-          scalar_pair(u1[p + l], u2[p + l], mean, stddev, out + 2 * (p + l));
-          ++recomputed;
-        }
-    }
-  }
-  for (; p < pairs; ++p) scalar_pair(u1[p], u2[p], mean, stddev, out + 2 * p);
-  return recomputed;
-}
-
-GBO_AVX512 void raw_avx512(const double* u1, const double* u2,
-                           std::size_t pairs, double* c, double* s) {
-  std::size_t p = 0;
-  for (; p + 8 <= pairs; p += 8) {
-    __m512d zc, zs;
-    bm8(u1 + p, u2 + p, zc, zs);
-    _mm512_storeu_pd(c + p, zc);
-    _mm512_storeu_pd(s + p, zs);
-  }
-  raw_scalar(u1 + p, u2 + p, pairs - p, c + p, s + p);
-}
 
 // ---- AVX2 + FMA: 4 pairs per step -----------------------------------------
 
 GBO_AVX2 inline __m256d set4(double v) { return _mm256_set1_pd(v); }
 
+// c0 + x·(c1 + x·(c2 + ...)), Horner.
 GBO_AVX2 inline __m256d poly4(__m256d, double c) { return set4(c); }
 template <class... Cs>
 GBO_AVX2 inline __m256d poly4(__m256d x, double c0, Cs... cs) {
@@ -358,6 +220,7 @@ GBO_AVX2 inline __m256d poly4(__m256d x, double c0, Cs... cs) {
 
 GBO_AVX2 inline void bm4(const double* u1p, const double* u2p, __m256d& zc,
                          __m256d& zs) {
+  // ln u1 (u1 in [2^-53, 1), always normal): u1 = m·2^e, m in [√2/2, √2).
   const __m256d u1 = _mm256_loadu_pd(u1p);
   const __m256i bits = _mm256_castpd_si256(u1);
   __m256d e = _mm256_sub_pd(
@@ -384,6 +247,7 @@ GBO_AVX2 inline void bm4(const double* u1p, const double* u2p, __m256d& zc,
       e, set4(kLn2Hi), _mm256_sub_pd(_mm256_sub_pd(hfsq, inner), f));
   const __m256d r = _mm256_sqrt_pd(_mm256_mul_pd(set4(-2.0), ln));
 
+  // θ = 2π·u2, k = round(θ·2/π), y = θ - k·π/2 in three parts.
   const __m256d theta = _mm256_mul_pd(set4(kTwoPi), _mm256_loadu_pd(u2p));
   const __m256d kr = _mm256_fmadd_pd(theta, set4(kInvPio2), set4(kRound));
   const __m256d k = _mm256_sub_pd(kr, set4(kRound));
@@ -400,6 +264,8 @@ GBO_AVX2 inline void bm4(const double* u1p, const double* u2p, __m256d& zc,
   const __m256d tail = _mm256_sub_pd(_mm256_sub_pd(set4(1.0), one_m_hz), hz);
   const __m256d cos_y =
       _mm256_add_pd(one_m_hz, _mm256_fmadd_pd(y2, cr, tail));
+  // Quadrant q = k mod 4: odd q swaps sin and cos; cos θ is negative for
+  // q in {1, 2}, sin θ for q in {2, 3}.
   const __m256i one = _mm256_set1_epi64x(1), two = _mm256_set1_epi64x(2);
   const __m256i q = _mm256_and_si256(_mm256_castpd_si256(kr),
                                      _mm256_set1_epi64x(3));
@@ -415,6 +281,8 @@ GBO_AVX2 inline void bm4(const double* u1p, const double* u2p, __m256d& zc,
   zs = _mm256_mul_pd(r, _mm256_xor_pd(sn, s_sign));
 }
 
+// d = mean + stddev·z rounded to float, and the lanes whose guard band
+// [d - band, d + band] straddles a float rounding boundary (nonzero).
 GBO_AVX2 inline __m128 round4(__m256d z, __m256d mean, __m256d stddev,
                               __m128i& unsafe) {
   const __m256d abs_mask =
@@ -471,13 +339,9 @@ GBO_AVX2 void raw_avx2(const double* u1, const double* u2, std::size_t pairs,
   raw_scalar(u1 + p, u2 + p, pairs - p, c + p, s + p);
 }
 
-#undef GBO_AVX512
 #undef GBO_AVX2
 
-#pragma GCC diagnostic pop
-
 constexpr NormalKernel kAvx2Normal{"avx2_fma", &transform_avx2, &raw_avx2};
-constexpr NormalKernel kAvx512Normal{"avx512f", &transform_avx512, &raw_avx512};
 
 #endif  // GBO_X86
 
@@ -485,7 +349,6 @@ std::vector<const NormalKernel*> supported_normal_kernels() {
   std::vector<const NormalKernel*> ks{&kScalarNormal};
 #if defined(GBO_X86)
   if (cpu().avx2 && cpu().fma) ks.push_back(&kAvx2Normal);
-  if (cpu().avx512f) ks.push_back(&kAvx512Normal);
 #endif
   return ks;
 }

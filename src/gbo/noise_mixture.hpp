@@ -18,8 +18,6 @@ class NoiseMixture {
   /// rounded to float, as the ε draws have always taken it.
   explicit NoiseMixture(const std::vector<double>& stds);
 
-  std::size_t schemes() const { return stds_.size(); }
-
   /// Draws ε_k over out's shape for every scheme, k-major: the stream order
   /// of one sequential fill per scheme. With coeffs (one per scheme), also
   /// adds coeffs[k]·ε_k to out for k = 0, 1, ... — draw and axpy run block

@@ -318,36 +318,47 @@ float ulps_away(float x, std::int64_t d) {
                : from_bits(static_cast<std::uint32_t>(o));
 }
 
-/// Runs infer and forward over xs and counts outputs that differ bitwise
-/// from the libm expression (NaN counts as equal to NaN).
-std::size_t tanh_mismatches(QuantTanh& act, const std::vector<float>& xs) {
-  const Tensor x({xs.size()}, xs);
+/// Runs infer (and, with `forward`, forward) over xs and counts outputs that
+/// differ bitwise from the libm expression (NaN counts as equal to NaN).
+std::size_t tanh_mismatches(QuantTanh& act, const Tensor& x,
+                            bool forward = true) {
   gbo::nn::EvalContext ctx;
-  const Tensor inferred = act.infer(x, ctx);
-  const Tensor forwarded = act.forward(x);
+  std::vector<Tensor> outs{act.infer(x, ctx)};
+  if (forward) outs.push_back(act.forward(x));
   std::size_t bad = 0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const float ref = quantize_value(std::tanh(xs[i]), act.levels());
-    for (float got : {inferred[i], forwarded[i]}) {
-      const bool same = std::isnan(ref) ? std::isnan(got)
-                                        : to_bits(got) == to_bits(ref);
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    const float ref = quantize_value(std::tanh(x[i]), act.levels());
+    for (const Tensor& y : outs) {
+      const bool same = std::isnan(ref) ? std::isnan(y[i])
+                                        : to_bits(y[i]) == to_bits(ref);
       if (!same) ++bad;
     }
   }
   return bad;
 }
 
+/// Every float within ±ulps of each step threshold of act.
+Tensor threshold_windows(const QuantTanh& act, std::int64_t ulps) {
+  std::vector<float> xs;
+  xs.reserve(act.thresholds().size() * static_cast<std::size_t>(2 * ulps + 1));
+  for (float t : act.thresholds())
+    for (std::int64_t d = -ulps; d <= ulps; ++d) xs.push_back(ulps_away(t, d));
+  const std::size_t n = xs.size();
+  return Tensor({n}, std::move(xs));
+}
+
 TEST(QuantTanh, ThresholdsAreTheLibmStepsBitwise) {
-  // Every float within ±2^18 ulps of each step threshold, at every level
-  // count; the ulp walk crosses ±0 and runs into the subnormals.
+  // infer over every float within ±2^18 ulps of each step threshold, at
+  // every level count; the ulp walk crosses ±0 and runs into the
+  // subnormals. forward shares infer's threshold lookup (quantize_tanh) and
+  // also fills the STE tanh cache, so it is checked on ±2^12 ulps.
   for (std::size_t levels : {2u, 3u, 5u, 9u, 17u}) {
     QuantTanh act(levels);
     ASSERT_EQ(act.thresholds().size(), levels - 1);
-    std::vector<float> xs;
-    for (float t : act.thresholds())
-      for (std::int64_t d = -(1 << 18); d <= (1 << 18); ++d)
-        xs.push_back(ulps_away(t, d));
-    EXPECT_EQ(tanh_mismatches(act, xs), 0u) << "levels " << levels;
+    EXPECT_EQ(tanh_mismatches(act, threshold_windows(act, 1 << 18), false), 0u)
+        << "levels " << levels;
+    EXPECT_EQ(tanh_mismatches(act, threshold_windows(act, 1 << 12)), 0u)
+        << "levels " << levels;
     // A threshold is a step: the level changes between its predecessor and
     // it.
     for (float t : act.thresholds()) {
@@ -374,9 +385,10 @@ TEST(QuantTanh, SpecialValuesAndRandomBitPatterns) {
   Rng rng(2026);
   for (int i = 0; i < (1 << 20); ++i)
     xs.push_back(from_bits(static_cast<std::uint32_t>(rng())));
+  const Tensor x({xs.size()}, xs);
   for (std::size_t levels : {2u, 3u, 5u, 9u, 17u}) {
     QuantTanh act(levels);
-    EXPECT_EQ(tanh_mismatches(act, xs), 0u) << "levels " << levels;
+    EXPECT_EQ(tanh_mismatches(act, x), 0u) << "levels " << levels;
   }
 }
 

@@ -367,7 +367,7 @@ Json run_slo_scenario(const serve::Backend& primary,
   j.set("overload_exercised", overloaded);
   j.set("faults_retried", faulted);
   // SLO oracle: the full causal stream (admission verdicts, sheds, retries,
-  // deliveries with virtual completion times, ladder/breaker transitions)
+  // deliveries with virtual completion times, the control log)
   // reconstructed from the Plan alone.
   j.set("trace", trace_section(name, snap1, snapN,
                                serve::expected_causal_fingerprint(plan),
@@ -459,7 +459,7 @@ Json run_sharded_section(GateState* gates) {
 ///                            runs (1t/4t cross-artifact equality is checked
 ///                            by tools/check_bench_gates.py)
 ///   * replica_sheds_match    every replica's executed shed set == its §7
-///                            sub-plan's fingerprint
+///                            plan row's fingerprint
 ///   * fleet_shed_match       fleet shed-set union == the plan's
 ///   * no_lost_requests       delivered == planned served, both runs
 ///   * replica_zero_allocs    no replica arena grew during the measured run
@@ -476,7 +476,7 @@ Json run_router_scenario(const serve::Backend& primary,
                          std::size_t replicas, const std::string& trace_out,
                          GateState* gates) {
   const char* name = "router_flash";
-  const serve::RouterPlan plan =
+  const serve::Plan plan =
       serve::route_plan(trace, base.slo, base.batch, router, replicas);
 
   serve::ServeConfig cfg = base;
@@ -525,7 +525,7 @@ Json run_router_scenario(const serve::Backend& primary,
     replica_steady = replica_steady && rep.replicas[r].steady_allocs == 0;
   }
   if (!replica_sheds)
-    gates->fail(name, "a replica's shed set diverged from its sub-plan");
+    gates->fail(name, "a replica's shed set diverged from its plan row");
   if (!replica_steady)
     gates->fail(name, "a replica arena grew during the measured run");
   const bool fleet_shed =
@@ -546,11 +546,11 @@ Json run_router_scenario(const serve::Backend& primary,
     }
   }
   const bool rerouted = downed > 0 && down_assigned == 0 &&
-                        plan.active_replicas < plan.total_replicas;
+                        plan.active.size() < plan.replicas.size();
   if (!rerouted)
     gates->fail(name, "the outage did not reroute around the downed replica");
-  const bool autoscaled = plan.active_replicas >= router.min_replicas &&
-                          plan.active_replicas <= n_alive;
+  const bool autoscaled = plan.active.size() >= router.min_replicas &&
+                          plan.active.size() <= n_alive;
   if (!autoscaled)
     gates->fail(name, "autoscaler activated an out-of-bounds replica count");
   const bool overloaded = rep.serve.slo.exec_shed > 0;
@@ -560,8 +560,8 @@ Json run_router_scenario(const serve::Backend& primary,
   std::printf(
       "  [%s] %zu req, %zu replicas (%zu alive, %zu active), %zu "
       "workers/replica: served=%zu shed=%zu routing=%s vp99=%.0fus %s\n",
-      name, rep.serve.requests, plan.total_replicas, n_alive,
-      plan.active_replicas, workers, rep.serve.slo.served,
+      name, rep.serve.requests, plan.replicas.size(), n_alive,
+      plan.active.size(), workers, rep.serve.slo.served,
       rep.serve.slo.exec_shed, serve::hex64(rep.routing_hash).c_str(),
       rep.serve.slo.virtual_latency.p99_us,
       payload_match && routing_match && replica_sheds && replica_steady &&
@@ -582,8 +582,8 @@ Json run_router_scenario(const serve::Backend& primary,
   j.set("outage_rerouted", rerouted);
   j.set("autoscale_bounded", autoscaled);
   j.set("overload_exercised", overloaded);
-  // Fleet causal oracle: kRoute per request + per-replica ledgers with
-  // replica-major renumbered transitions, reconstructed from the plan.
+  // Fleet causal oracle: kRoute per request, the ledger and the control
+  // log, reconstructed from the plan.
   j.set("trace", trace_section(name, snap1, snapN,
                                serve::expected_causal_fingerprint(plan),
                                serve::expected_causal_event_count(plan),
@@ -619,7 +619,7 @@ Json run_swap_leg(const char* name, const char* backend_label,
                   const std::string& trace_out, GateState* gates) {
   cfg.num_workers = 1;
   serve::ReplicaGroup one(spec.config(cfg));
-  const serve::RouterPlan plan = one.plan_trace(trace);
+  const serve::Plan plan = one.plan_trace(trace);
   obs::begin_session();
   const serve::RouterReport rep1 = one.run(trace);
   const obs::TraceSnapshot snap1 = obs::end_session();

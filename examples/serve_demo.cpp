@@ -340,14 +340,14 @@ int run_router(const std::string& trace_out) {
                                 .router(router));
 
   // The fleet plan, before anything runs.
-  const serve::RouterPlan rp = group.plan_trace(trace);
+  const serve::Plan rp = group.plan_trace(trace);
   std::printf(
       "Planned %zu requests across %zu deployed replicas "
       "(%zu alive -> %zu activated by the autoscaler):\n",
-      trace.size(), rp.total_replicas,
+      trace.size(), rp.replicas.size(),
       static_cast<std::size_t>(
           std::count(rp.alive.begin(), rp.alive.end(), std::uint8_t{1})),
-      rp.active_replicas);
+      rp.active.size());
   std::printf("  routing hash %s, fleet shed-set hash %s\n\n",
               serve::hex64(rp.routing_hash).c_str(),
               serve::hex64(rp.shed_set_hash).c_str());
@@ -376,7 +376,7 @@ int run_router(const std::string& trace_out) {
   Checks checks;
   checks.report("routing hash matches the plan:",
                 rep.routing_hash == rp.routing_hash);
-  checks.report("per-replica shed sets match their sub-plans:",
+  checks.report("per-replica shed sets match their plan rows:",
                 per_replica_ok);
   if (obs::runtime_enabled()) {
     const std::uint64_t fp = obs::causal_fingerprint(snap.events);

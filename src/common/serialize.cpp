@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 namespace gbo {
@@ -49,8 +50,15 @@ bool save_state_dict(const std::string& path, const StateDict& state) {
 StateDict load_state_dict(const std::string& path, bool* ok) {
   if (ok) *ok = false;
   StateDict state;
-  std::ifstream f(path, std::ios::binary);
+  std::ifstream f(path, std::ios::binary | std::ios::ate);
   if (!f) return state;
+  // Header fields are untrusted: every length is checked against the bytes
+  // the file still holds before anything is allocated for it.
+  const std::streamoff size = f.tellg();
+  f.seekg(0);
+  const auto remaining = [&f, size] {
+    return static_cast<std::uint64_t>(size - f.tellg());
+  };
   char magic[8];
   f.read(magic, sizeof(magic));
   if (!f || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
@@ -58,6 +66,8 @@ StateDict load_state_dict(const std::string& path, bool* ok) {
   const auto count = read_pod<std::uint64_t>(f);
   for (std::uint64_t i = 0; i < count; ++i) {
     const auto name_len = read_pod<std::uint32_t>(f);
+    if (name_len > remaining())
+      throw std::runtime_error("checkpoint: name length exceeds the file");
     std::string name(name_len, '\0');
     f.read(name.data(), name_len);
     if (!f) throw std::runtime_error("checkpoint: truncated name");
@@ -65,10 +75,15 @@ StateDict load_state_dict(const std::string& path, bool* ok) {
     NamedBlob blob;
     std::size_t numel = 1;
     for (std::uint32_t d = 0; d < ndim; ++d) {
-      const auto dim = read_pod<std::uint64_t>(f);
-      blob.shape.push_back(static_cast<std::size_t>(dim));
-      numel *= static_cast<std::size_t>(dim);
+      const auto dim = static_cast<std::size_t>(read_pod<std::uint64_t>(f));
+      if (dim != 0 && numel > std::numeric_limits<std::size_t>::max() / dim)
+        throw std::runtime_error("checkpoint: shape overflows for " + name);
+      blob.shape.push_back(dim);
+      numel *= dim;
     }
+    if (numel > remaining() / sizeof(float))
+      throw std::runtime_error("checkpoint: data for " + name +
+                               " exceeds the file");
     blob.data.resize(numel);
     f.read(reinterpret_cast<char*>(blob.data.data()),
            static_cast<std::streamsize>(numel * sizeof(float)));

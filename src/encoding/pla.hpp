@@ -6,7 +6,11 @@
 // nearest level representable with n pulses, which in hardware amounts to
 // adding/removing pulses toward -1 or +1 (the values deep-layer activations
 // concentrate on after BN + Tanh). The residual |snap(v, n) - v| is the PLA
-// approximation error that Table I shows to be negligible.
+// approximation error, and it is not negligible: on the prepared VGG-9
+// checkpoint with the noise off (σ = 0, full test split) it costs 3.1
+// accuracy points for the GBO schedule [6,6,8,10,4,8,14], 5.9 for PLA-12
+// and 48.5 for PLA-4 against Baseline-8. Only the dyadic counts (8, 16),
+// whose grids contain the 9 base levels, lose nothing.
 #pragma once
 
 #include "encoding/thermometer.hpp"

@@ -44,6 +44,7 @@
 #include "serve/metrics.hpp"
 #include "serve/queue.hpp"
 #include "serve/request.hpp"
+#include "serve/swap.hpp"
 
 #include <array>
 #include <cstdint>
@@ -140,9 +141,8 @@ struct Decision {
   std::uint64_t v_pop_us = 0;  // virtual flush instant
   std::uint64_t v_done_us = 0; // virtual completion
   std::uint64_t deadline_us = 0;
-  /// Model version pinned at admission (DESIGN.md §11). plan() always
-  /// leaves 0 (the primary backend); the hot-swap overlay
-  /// (serve/swap.hpp) stamps registry versions after the fact.
+  /// Model version pinned at admission (DESIGN.md §11). The simulation
+  /// leaves 0 (the primary backend); apply_swap() stamps registry versions.
   std::uint32_t version = 0;
 
   bool served() const { return outcome == Outcome::kServed; }
@@ -176,54 +176,63 @@ struct PlanCounters {
   PlanCounters& operator+=(const PlanCounters& o);
 };
 
-/// One control-plane state change on the virtual clock, in occurrence
-/// order. The runtime replays these as causal trace events (DESIGN.md §9)
-/// and the trajectory is part of the plan's decision ledger.
-struct ControlTransition {
-  enum class Kind : std::uint8_t { kLadder = 0, kBreakerOpen = 1 };
-  Kind kind = Kind::kLadder;
-  int level = 0;          // new ladder level (kLadder only)
-  std::uint64_t v_us = 0; // virtual instant of the transition
-};
-
+/// The decision ledger of one trace (DESIGN.md §7, §10, §11), built by
+/// the planner's stages: routing (route_plan), the per-replica
+/// virtual-clock simulation, and the optional hot-swap overlay
+/// (apply_swap). Pure in its inputs: same inputs, identical plan.
 struct Plan {
-  std::vector<Decision> decisions;  // index = trace index
-  /// Global request id per trace index. Empty means id == index (the
-  /// single-replica case); the router passes each replica's sub-trace with
-  /// the original trace indices so fault streams, payload RNG forks, and
-  /// shed-set fingerprints stay keyed by the global id (DESIGN.md §10).
-  std::vector<std::uint64_t> request_ids;
+  /// One replica's slice of the ledger: what the autoscaler and
+  /// ReplicaStats read.
+  struct Replica {
+    std::size_t assigned = 0;  // requests routed here
+    PlanCounters counters;
+    /// FNV-1a over this replica's non-served (id, outcome) pairs.
+    std::uint64_t shed_set_hash = 0;
+  };
+
+  std::vector<Decision> decisions;  // index = global request id
+  /// assignment[id] = replica serving request id (every request routes,
+  /// including ones its replica then bounces at admission). Empty when
+  /// unrouted (plan()): then neither the oracle nor the runtime emits kRoute.
+  std::vector<std::uint8_t> assignment;
+  std::vector<std::uint8_t> alive;   // per-replica liveness (outage model)
+  std::vector<std::uint8_t> active;  // replicas receiving traffic, ascending
+  /// FNV-1a over (id, replica) pairs in id order; 0 when unrouted.
+  std::uint64_t routing_hash = 0;
+  std::vector<Replica> replicas;  // index = replica
+  /// Fleet counters: sums, with max_virtual_depth / ladder levels maxed.
   PlanCounters counters;
-  /// Ladder level changes and breaker opens in virtual-time order;
-  /// counters.ladder_transitions / breaker_opens are its per-kind sizes.
-  std::vector<ControlTransition> transitions;
+  /// The control log: ladder changes and breaker opens (replica-major
+  /// sequence ids), then the swap cutovers and canary verdict — each tuple
+  /// exactly the causal event the runtime replays for it (DESIGN.md §9).
+  std::vector<obs::CausalTuple> control;
   LatencyStats virtual_latency;     // served requests, virtual clock
   std::array<LatencyStats, kNumPriorities> virtual_by_priority;
   /// FNV-1a over the (id, outcome) pairs of every non-served request in id
   /// order — the shed-set fingerprint the determinism gates compare.
   std::uint64_t shed_set_hash = 0;
-
-  /// Global id of trace index i (identity when request_ids is empty).
-  std::uint64_t id_of(std::size_t i) const {
-    return request_ids.empty() ? i : request_ids[i];
-  }
+  SwapPlan swap;  // hot-swap overlay; disabled unless apply_swap() ran
 };
 
-/// Runs the virtual-time control-plane simulation. Pure: same
+/// The unrouted planner: one replica, no assignment. Pure: same
 /// (trace, slo, batch) always yields the identical plan. A disabled policy
 /// yields the trivial ledger (see SloPolicy::enabled), whose causal oracle
 /// is one (id, kAdmit, 0, 0) and one (id, kDeliver, 0, 0) per request.
 Plan plan(const std::vector<Arrival>& trace, const SloPolicy& slo,
           const BatchPolicy& batch);
 
-/// Same simulation over a sub-trace carrying global request ids (strictly
-/// ascending, one per arrival). Decisions stay indexed by sub-trace
-/// position, but every id-keyed effect — fault injection, the shed-set
-/// fingerprint, the causal oracle — uses the global id, so a replica's
-/// sub-plan composes with its siblings (DESIGN.md §10).
-Plan plan(const std::vector<Arrival>& trace, const SloPolicy& slo,
-          const BatchPolicy& batch,
-          std::vector<std::uint64_t> request_ids);
+/// The routed planner (DESIGN.md §10): liveness under the router's outage
+/// model, queue-depth autoscaling, the routing assignment, and every
+/// replica's control decisions. Throws std::invalid_argument when
+/// `replicas` exceeds 255 (the assignment is a byte per request).
+Plan route_plan(const std::vector<Arrival>& trace, const SloPolicy& slo,
+                const BatchPolicy& batch, const RouterPolicy& router,
+                std::size_t replicas);
+
+/// The deterministic routing function: which member of `active` (ascending
+/// replica indices) serves request `id`.
+std::uint8_t route_replica(const RouterPolicy& router, std::uint64_t id,
+                           const std::vector<std::uint8_t>& active);
 
 /// FNV-1a fingerprint of a shed set given as (id, outcome-code) pairs in
 /// ascending id order; shared by the planner and the runtime's
@@ -237,21 +246,12 @@ ShedReason shed_reason(Decision::Outcome outcome);
 
 /// The causal-trace oracle (DESIGN.md §9): the exact fingerprint / event
 /// count the runtime's causal event stream must reproduce when executing
-/// this plan. Derived from the decision ledger alone — admission verdicts,
-/// pop-time sheds, retry attempts, delivery modes with virtual completion
-/// times, and the control-transition log — never from anything the workers
-/// did, which is what gives the trace gate independent teeth.
+/// this plan. Derived from the ledger alone — kRoute per request iff the
+/// plan carries an assignment, admission verdicts, pop-time sheds, retry
+/// attempts, delivery modes and versions with virtual completion times, and
+/// the control log verbatim — never from anything the workers did, which
+/// is what gives the trace gate independent teeth.
 std::uint64_t expected_causal_fingerprint(const Plan& p);
 std::size_t expected_causal_event_count(const Plan& p);
-
-/// Building blocks of the oracle above, exposed so the router can compose
-/// a fleet-wide fingerprint out of per-replica sub-plans (DESIGN.md §10):
-/// per-decision tuples are keyed by Plan::id_of, and each replica's
-/// control transitions are renumbered with a sequence offset so the
-/// fleet-wide transition log stays collision-free.
-void append_causal_decision_tuples(const Plan& p,
-                                   std::vector<obs::CausalTuple>& tuples);
-void append_causal_transition_tuples(const Plan& p, std::size_t seq_offset,
-                                     std::vector<obs::CausalTuple>& tuples);
 
 }  // namespace gbo::serve

@@ -410,7 +410,7 @@ void Executor::drain_queue(
 }
 
 RouterReport Executor::execute(const std::vector<Arrival>& trace,
-                               const RouterPlan& rp) {
+                               const Plan& p) {
   const std::size_t R = replicas_;
   const std::size_t W = cfg_.num_workers;
   RouterReport rep;
@@ -466,9 +466,6 @@ RouterReport Executor::execute(const std::vector<Arrival>& trace,
   // them per target replica (single-writer until the pool joins).
   std::vector<std::vector<std::pair<std::uint64_t, std::uint8_t>>>
       admission_shed(R);
-  std::vector<std::size_t> seq_off(R + 1, 0);
-  for (std::size_t r = 0; r < R; ++r)
-    seq_off[r + 1] = seq_off[r] + rp.per_replica[r].transitions.size();
   const auto t0 = std::chrono::steady_clock::now();
 
   // One flat dispatch: block 0 is the producer, block 1 + r*W + w is
@@ -484,47 +481,26 @@ RouterReport Executor::execute(const std::vector<Arrival>& trace,
           obs::prime();
           if (block != 0) {
             drain_queue(*workers_[block - 1], queues[(block - 1) / W],
-                        out_rows, completion_us, t0, injector, rp.decisions);
+                        out_rows, completion_us, t0, injector, p.decisions);
             continue;
           }
-          // The control-plane trajectory (ladder levels, breaker opens) is
-          // part of the decision ledger the runtime executes; replay it
-          // onto the trace as causal events (DESIGN.md §9), with
-          // replica-major renumbered sequence ids (the fleet oracle
-          // composes the same way).
-          for (std::size_t r = 0; r < R; ++r) {
-            const Plan& p = rp.per_replica[r];
-            for (std::size_t seq = 0; seq < p.transitions.size(); ++seq) {
-              const ControlTransition& t = p.transitions[seq];
-              if (t.kind == ControlTransition::Kind::kLadder)
-                GBO_TRACE_EVENT(obs::EventType::kLadder, seq_off[r] + seq,
-                                static_cast<std::uint16_t>(t.level), t.v_us);
-              else
-                GBO_TRACE_EVENT(obs::EventType::kBreaker, seq_off[r] + seq,
-                                1, t.v_us);
-            }
-          }
-          // The swap trajectory is part of the executed ledger too: one
-          // kSwap per planned cutover and the kCanary verdict, replayed
-          // exactly as the oracle composes them (DESIGN.md §11).
-          if (rp.swap.enabled) {
-            for ([[maybe_unused]] const SwapCutover& cut : rp.swap.cutovers)
-              GBO_TRACE_EVENT(obs::EventType::kSwap, cut.replica,
-                              static_cast<std::uint16_t>(cut.version),
-                              cut.at_us);
-            GBO_TRACE_EVENT(obs::EventType::kCanary, rp.swap.canary_replica,
-                            rp.swap.rolled_back ? 0 : 1, rp.swap.verdict_us);
-          }
+          // The control log (ladder levels, breaker opens, swap cutovers
+          // and the canary verdict) is part of the ledger the runtime
+          // executes; it replays onto the trace as the very causal events
+          // the oracle appends (DESIGN.md §9).
+          for ([[maybe_unused]] const obs::CausalTuple& t : p.control)
+            GBO_TRACE_EVENT(static_cast<obs::EventType>(t.type), t.id, t.a,
+                            t.arg);
           for (std::size_t i = 0; i < num_requests; ++i) {
             std::this_thread::sleep_until(
                 t0 + std::chrono::microseconds(trace[i].t_us));
-            // Only a group run carries a routing assignment.
+            // Only a routed plan carries an assignment (and kRoute events).
             const std::uint8_t target =
-                rp.assignment.empty() ? 0 : rp.assignment[i];
-            if (!rp.assignment.empty())
+                p.assignment.empty() ? 0 : p.assignment[i];
+            if (!p.assignment.empty())
               GBO_TRACE_EVENT(obs::EventType::kRoute, i, target,
-                              rp.active_replicas);
-            const Decision& d = rp.decisions[i];
+                              p.active.size());
+            const Decision& d = p.decisions[i];
             if (d.outcome == Decision::Outcome::kRejected ||
                 d.outcome == Decision::Outcome::kEvicted) {
               admission_shed[target].emplace_back(i, outcome_code(d.outcome));
@@ -576,7 +552,7 @@ RouterReport Executor::execute(const std::vector<Arrival>& trace,
   // Per-replica exec accounting: admission bounces (attributed to the
   // routed replica) + every worker's pop-time shed log, fingerprinted in
   // the planner's encoding. The gates demand each replica's hash equals its
-  // sub-plan's, and the fleet's the plan's.
+  // plan row's, and the fleet's the plan's.
   std::size_t batches = 0;
   SloSummary& s = srep.slo;
   std::vector<std::pair<std::uint64_t, std::uint8_t>> exec_shed_all;
@@ -643,7 +619,7 @@ RouterReport Executor::execute(const std::vector<Arrival>& trace,
   if (!cfg_.slo.enabled) return rep;  // no control-plane ledger to report
 
   std::sort(exec_shed_all.begin(), exec_shed_all.end());
-  const PlanCounters& c = rp.counters;
+  const PlanCounters& c = p.counters;
   s.enabled = true;
   s.admitted = num_requests - c.rejected;
   s.served = c.served;
@@ -665,9 +641,9 @@ RouterReport Executor::execute(const std::vector<Arrival>& trace,
   s.max_ladder_level = c.max_ladder_level;
   s.max_virtual_depth = c.max_virtual_depth;
   s.deadline_us = cfg_.slo.deadline_us;
-  s.shed_set_hash = rp.shed_set_hash;
-  s.virtual_latency = rp.virtual_latency;
-  s.virtual_by_priority = rp.virtual_by_priority;
+  s.shed_set_hash = p.shed_set_hash;
+  s.virtual_latency = p.virtual_latency;
+  s.virtual_by_priority = p.virtual_by_priority;
   s.exec_delivered = srep.completed;
   s.exec_shed = exec_shed_all.size();
   s.exec_shed_set_hash = shed_set_fingerprint(exec_shed_all);
@@ -680,13 +656,10 @@ RouterReport Executor::execute(const std::vector<Arrival>& trace,
 
 ServeReport InferenceServer::run(const std::vector<Arrival>& trace) {
   // A single server is a group of one replica that routes nothing: the
-  // one-replica route plan is plan() itself (the trivial ledger when the
-  // policy is disabled), and with no assignment the executor emits no
-  // kRoute events.
+  // unrouted plan (the trivial ledger when the policy is disabled) carries
+  // no assignment, so the executor emits no kRoute events.
   const ServeConfig& cfg = exec_.config();
-  RouterPlan rp = route_plan(trace, cfg.slo, cfg.batch, RouterPolicy{}, 1);
-  rp.assignment.clear();
-  return exec_.execute(trace, rp).serve;
+  return exec_.execute(trace, plan(trace, cfg.slo, cfg.batch)).serve;
 }
 
 }  // namespace gbo::serve

@@ -5,8 +5,8 @@
 //
 //   make_trace(cfg)            seeded Poisson/burst arrival trace
 //        |
-//   plan / route_plan          the decision ledger (policy.hpp; trivial
-//        |                     when the SLO policy is disabled)
+//   plan / route_plan          the one decision ledger (policy.hpp;
+//        |                     trivial when the SLO policy is disabled)
 //   detail::Executor           replays the ledger's arrivals in real time
 //        |                     into R per-replica RequestQueues (one
 //        |                     producer); a single server is R = 1
@@ -128,7 +128,6 @@ class ServerSpec {
   SwapPolicy swap_;
 };
 
-struct RouterPlan;    // serve/router.hpp
 struct RouterReport;  // serve/router.hpp
 
 namespace detail {
@@ -153,12 +152,11 @@ class Executor {
   /// every registry version, and freezes the fusion modes.
   void warmup();
 
-  /// Replays `rp` in real time and serves the trace to completion: the
-  /// ledger's control transitions, swap events and arrivals (kRoute only
-  /// when rp carries an assignment), then the workers drain. Fills the
-  /// ServeReport and each ReplicaStats row's exec-side fields.
-  RouterReport execute(const std::vector<Arrival>& trace,
-                       const RouterPlan& rp);
+  /// Replays `p` in real time and serves the trace to completion: the
+  /// plan's control log, then the arrivals (kRoute only when p carries an
+  /// assignment), then the workers drain. Fills the ServeReport and each
+  /// ReplicaStats row's exec-side fields.
+  RouterReport execute(const std::vector<Arrival>& trace, const Plan& p);
 
  private:
   struct Worker {
@@ -261,7 +259,7 @@ class InferenceServer {
   /// Replays the trace in real time and serves it to completion. An empty
   /// trace (or empty dataset) returns an empty report with a warning.
   ///
-  /// The run is planned first: policy::plan() decides every admit / shed /
+  /// The run is planned first: plan() decides every admit / shed /
   /// degrade / retry outcome on the virtual clock (DESIGN.md §7; every
   /// request is served when cfg.slo is disabled), then the real replay
   /// executes the plan — planned rejections are bounced at admission,

@@ -2,7 +2,6 @@
 
 #include "common/logging.hpp"
 #include "serve/policy.hpp"
-#include "serve/router.hpp"
 
 #include <algorithm>
 #include <stdexcept>
@@ -41,10 +40,14 @@ std::size_t ModelRegistry::size() const {
   return snaps_.size();
 }
 
-SwapPlan apply_swap(RouterPlan& rp, const std::vector<Arrival>& trace,
-                    const SwapPolicy& policy) {
-  SwapPlan sp;
+const SwapPlan& apply_swap(Plan& p, const std::vector<Arrival>& trace,
+                           const SwapPolicy& policy) {
+  SwapPlan& sp = p.swap;
   if (!policy.enabled) return sp;
+  if (p.assignment.size() != trace.size())
+    throw std::invalid_argument(
+        "serve: apply_swap needs a routed plan of this trace (route_plan): "
+        "the canary boundary is a replica");
   sp.enabled = true;
   sp.from_version = policy.from_version;
   sp.to_version = policy.to_version;
@@ -53,13 +56,13 @@ SwapPlan apply_swap(RouterPlan& rp, const std::vector<Arrival>& trace,
   // The canary boundary is a replica; an inactive choice falls back to the
   // first active replica so the rollout stays total (and deterministic).
   sp.canary_replica = policy.canary_replica;
-  if (std::find(rp.active.begin(), rp.active.end(), sp.canary_replica) ==
-      rp.active.end()) {
+  if (std::find(p.active.begin(), p.active.end(), sp.canary_replica) ==
+      p.active.end()) {
     log_warn("serve: swap canary replica ",
              static_cast<std::size_t>(policy.canary_replica),
              " is not active; canarying replica ",
-             static_cast<std::size_t>(rp.active.front()), " instead");
-    sp.canary_replica = rp.active.front();
+             static_cast<std::size_t>(p.active.front()), " instead");
+    sp.canary_replica = p.active.front();
   }
 
   // Health evaluation: feed the first canary_requests primary-served
@@ -73,9 +76,9 @@ SwapPlan apply_swap(RouterPlan& rp, const std::vector<Arrival>& trace,
   sp.verdict_us = sp.start_us;
   for (std::size_t id = 0; id < trace.size(); ++id) {
     if (sp.canary_served >= policy.canary_requests) break;
-    if (rp.assignment[id] != sp.canary_replica) continue;
+    if (p.assignment[id] != sp.canary_replica) continue;
     if (trace[id].t_us < sp.start_us) continue;
-    const Decision& d = rp.decisions[id];
+    const Decision& d = p.decisions[id];
     if (!d.served() || d.mode != ServeMode::kPrimary) continue;
     const std::uint64_t now = d.v_done_us;
     bool fail = candidate.fails(id, 0);
@@ -106,69 +109,54 @@ SwapPlan apply_swap(RouterPlan& rp, const std::vector<Arrival>& trace,
   if (sp.rolled_back) {
     sp.cutovers.push_back({sp.verdict_us, sp.canary_replica, sp.from_version});
   } else {
-    for (const std::uint8_t r : rp.active)
+    for (const std::uint8_t r : p.active)
       if (r != sp.canary_replica)
         sp.cutovers.push_back({sp.verdict_us, r, sp.to_version});
   }
 
-  // Pin every request to the version current for its replica at admission.
+  // Pin every request to the version current for its replica at admission
+  // and stamp it into the ledger. Canary-window primary decisions become
+  // ServeMode::kCanary (the fourth mode: full fidelity, candidate version);
+  // outcomes, virtual times, and the shed set are untouched by construction.
+  PlanCounters& canary_row = p.replicas[sp.canary_replica].counters;
   sp.version_of.resize(trace.size());
   std::vector<std::pair<std::uint64_t, std::uint8_t>> provenance;
   provenance.reserve(trace.size());
   for (std::size_t id = 0; id < trace.size(); ++id) {
     const std::uint64_t t = trace[id].t_us;
+    const bool canary = p.assignment[id] == sp.canary_replica;
     std::uint32_t v;
     if (t < sp.start_us)
       v = sp.from_version;
     else if (t < sp.verdict_us)
-      v = rp.assignment[id] == sp.canary_replica ? sp.to_version
-                                                 : sp.from_version;
+      v = canary ? sp.to_version : sp.from_version;
     else
       v = sp.rolled_back ? sp.from_version : sp.to_version;
     sp.version_of[id] = v;
     provenance.emplace_back(id, static_cast<std::uint8_t>(v));
+    Decision& d = p.decisions[id];
+    d.version = v;
+    const bool canary_window = canary && t >= sp.start_us && t < sp.verdict_us;
+    if (canary_window && d.served() && d.mode == ServeMode::kPrimary) {
+      d.mode = ServeMode::kCanary;
+      for (PlanCounters* c : {&p.counters, &canary_row}) {
+        --c->served_primary;
+        ++c->served_canary;
+      }
+    }
   }
   sp.version_hash = shed_set_fingerprint(provenance);
 
-  // Stamp the ledger — fleet-merged AND per-replica sub-plans, because the
-  // runtime executes the former and the causal oracle composes from the
-  // latter. Canary-window primary decisions become ServeMode::kCanary (the
-  // fourth mode: full fidelity, candidate version); outcomes, virtual
-  // times, and the shed set are untouched by construction.
-  for (std::size_t r = 0; r < rp.per_replica.size(); ++r) {
-    Plan& p = rp.per_replica[r];
-    for (std::size_t j = 0; j < p.decisions.size(); ++j) {
-      const std::uint64_t id = p.id_of(j);
-      Decision& d = p.decisions[j];
-      d.version = sp.version_of[id];
-      const bool canary_window =
-          r == sp.canary_replica && trace[id].t_us >= sp.start_us &&
-          trace[id].t_us < sp.verdict_us;
-      if (canary_window && d.served() && d.mode == ServeMode::kPrimary) {
-        d.mode = ServeMode::kCanary;
-        --p.counters.served_primary;
-        ++p.counters.served_canary;
-        --rp.counters.served_primary;
-        ++rp.counters.served_canary;
-      }
-      rp.decisions[id] = d;
-    }
-  }
-  rp.swap = sp;
-  return sp;
-}
-
-void append_causal_swap_tuples(const SwapPlan& sp,
-                               std::vector<obs::CausalTuple>& tuples) {
+  // The swap trajectory joins the control log the runtime replays.
   using obs::EventType;
-  if (!sp.enabled) return;
   for (const SwapCutover& c : sp.cutovers)
-    tuples.push_back({c.replica, static_cast<std::uint8_t>(EventType::kSwap),
-                      static_cast<std::uint16_t>(c.version), c.at_us});
-  tuples.push_back({sp.canary_replica,
-                    static_cast<std::uint8_t>(EventType::kCanary),
-                    static_cast<std::uint16_t>(sp.rolled_back ? 0 : 1),
-                    sp.verdict_us});
+    p.control.push_back({c.replica, static_cast<std::uint8_t>(EventType::kSwap),
+                         static_cast<std::uint16_t>(c.version), c.at_us});
+  p.control.push_back({sp.canary_replica,
+                       static_cast<std::uint8_t>(EventType::kCanary),
+                       static_cast<std::uint16_t>(sp.rolled_back ? 0 : 1),
+                       sp.verdict_us});
+  return sp;
 }
 
 }  // namespace gbo::serve

@@ -15,14 +15,15 @@
 //     §7 circuit breaker (deterministic candidate fault stream + optional
 //     virtual-latency SLO), then either roll every remaining replica
 //     forward or roll the canary back.
-//   * plan_swap / apply_swap — a pure overlay on the §10 RouterPlan. The
-//     virtual cost model is version-blind (a candidate serves at primary
-//     cost), so the swap cannot perturb admission, shedding, batching, or
-//     routing: the overlay only stamps each request's pinned version,
-//     rewrites canary-window primary decisions to ServeMode::kCanary, and
-//     fixes the cutover schedule. Everything — swap schedule, canary
-//     verdict, per-request version assignment — is a pure function of
-//     (trace, policies) and bitwise identical at any worker count.
+//   * apply_swap — the planner's last stage, a pure overlay on a routed
+//     Plan (serve/policy.hpp). The virtual cost model is version-blind (a
+//     candidate serves at primary cost), so the swap cannot perturb
+//     admission, shedding, batching, or routing: the overlay only stamps
+//     each request's pinned version, rewrites canary-window primary
+//     decisions to ServeMode::kCanary, and logs the cutover schedule and
+//     verdict onto the plan's control log. Everything — swap schedule,
+//     canary verdict, per-request version assignment — is a pure function
+//     of (trace, policies) and bitwise identical at any worker count.
 //
 // Pinning rule: a request executes on the version that was current for its
 // replica at its ADMISSION instant (arrival on the virtual clock), no
@@ -33,7 +34,6 @@
 // version at the same fidelity.
 #pragma once
 
-#include "obs/trace.hpp"
 #include "serve/backend.hpp"
 #include "serve/fault.hpp"
 #include "serve/request.hpp"
@@ -46,7 +46,7 @@
 
 namespace gbo::serve {
 
-struct RouterPlan;  // serve/router.hpp
+struct Plan;  // serve/policy.hpp
 
 /// One immutable registered model. The backend reference is borrowed (the
 /// caller keeps the model alive, exactly like ServerSpec's backends); the
@@ -142,22 +142,18 @@ struct SwapPlan {
   std::uint64_t version_hash = 0;
 };
 
-/// Computes the swap trajectory for a routed plan and applies it in place:
-/// stamps Decision::version in the fleet ledger and every per-replica
-/// sub-plan, rewrites canary-window primary decisions to ServeMode::kCanary,
-/// and moves the served_primary/served_canary counters accordingly. The
-/// overlay never touches outcomes, virtual times, or the shed set — the
-/// cost model is version-blind by design, so rp's shed/routing hashes are
-/// unchanged. Returns the plan (also stored into rp.swap).
-SwapPlan apply_swap(RouterPlan& rp, const std::vector<Arrival>& trace,
-                    const SwapPolicy& policy);
-
-/// The kSwap/kCanary causal tuples of a swap plan (DESIGN.md §11): one
-/// kSwap per cutover (id=replica, a=version, arg=virtual us) and one
-/// kCanary verdict (id=canary replica, a=1 promote / 0 rollback,
-/// arg=verdict us). Appended into the fleet oracle by
-/// expected_causal_fingerprint(RouterPlan).
-void append_causal_swap_tuples(const SwapPlan& sp,
-                               std::vector<obs::CausalTuple>& tuples);
+/// Computes the swap trajectory for a routed plan and stamps it into the
+/// ledger: Decision::version per request, canary-window primary decisions
+/// rewritten to ServeMode::kCanary (served_primary/served_canary moved to
+/// match, fleet-wide and on the canary's replica row), and one kSwap per
+/// cutover (id=replica, a=version, arg=virtual us) plus the kCanary verdict
+/// (id=canary replica, a=1 promote / 0 rollback, arg=verdict us) appended
+/// to the control log. Outcomes, virtual times, the shed set and the
+/// routing are untouched — the cost model is version-blind by design.
+/// Applied once per plan. Throws std::invalid_argument when `p` carries no
+/// routing assignment for the trace (the canary boundary is a replica).
+/// Returns p.swap.
+const SwapPlan& apply_swap(Plan& p, const std::vector<Arrival>& trace,
+                           const SwapPolicy& policy);
 
 }  // namespace gbo::serve

@@ -75,6 +75,79 @@ TEST(Serialize, ShapeDataMismatchThrowsOnSave) {
                std::runtime_error);
 }
 
+// Crafted checkpoints: a valid magic and entry count followed by one
+// entry header whose fields lie about the payload. Each must be rejected
+// with std::runtime_error before anything the header sizes is allocated.
+class CraftedCheckpoint {
+ public:
+  explicit CraftedCheckpoint(const char* name) : path_(temp_path(name)) {
+    f_.open(path_, std::ios::binary);
+    f_.write("GBOCKPT1", 8);
+    put<std::uint64_t>(1);  // one entry
+  }
+  template <typename T>
+  CraftedCheckpoint& put(T v) {
+    f_.write(reinterpret_cast<const char*>(&v), sizeof(T));
+    return *this;
+  }
+  CraftedCheckpoint& bytes(const char* s, std::size_t n) {
+    f_.write(s, static_cast<std::streamsize>(n));
+    return *this;
+  }
+  std::string close() {
+    f_.close();
+    return path_;
+  }
+
+ private:
+  std::string path_;
+  std::ofstream f_;
+};
+
+// The message tells the header check apart from a later truncated read,
+// which a loader that allocated first would also reach.
+void expect_rejected(const std::string& path, const char* why) {
+  try {
+    (void)load_state_dict(path);
+    ADD_FAILURE() << "crafted checkpoint loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << e.what();
+  }
+}
+
+TEST(Serialize, HugeNameLengthThrows) {
+  const std::string path = CraftedCheckpoint("huge_name.ckpt")
+                               .put<std::uint32_t>(0xFFFFFFFFu)
+                               .bytes("w", 1)
+                               .close();
+  expect_rejected(path, "name length exceeds the file");
+}
+
+TEST(Serialize, OverflowingShapeThrows) {
+  // 2^33 * 2^33 wraps a 64-bit element count to 0, which would otherwise
+  // load as an empty tensor with a 2^66-element shape.
+  const std::string path = CraftedCheckpoint("overflow.ckpt")
+                               .put<std::uint32_t>(1)
+                               .bytes("w", 1)
+                               .put<std::uint32_t>(2)
+                               .put<std::uint64_t>(std::uint64_t{1} << 33)
+                               .put<std::uint64_t>(std::uint64_t{1} << 33)
+                               .close();
+  expect_rejected(path, "shape overflows");
+}
+
+TEST(Serialize, ElementCountBeyondFileThrows) {
+  // 2^40 floats (4 TiB) declared, four actually present.
+  const std::string path = CraftedCheckpoint("beyond.ckpt")
+                               .put<std::uint32_t>(1)
+                               .bytes("w", 1)
+                               .put<std::uint32_t>(1)
+                               .put<std::uint64_t>(std::uint64_t{1} << 40)
+                               .bytes("0123456789abcdef", 16)
+                               .close();
+  expect_rejected(path, "exceeds the file");
+}
+
 TEST(ArtifactCache, FingerprintIsStable) {
   EXPECT_EQ(fingerprint_hash("abc"), fingerprint_hash("abc"));
   EXPECT_NE(fingerprint_hash("abc"), fingerprint_hash("abd"));

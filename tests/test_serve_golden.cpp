@@ -9,8 +9,6 @@
 // that moves one of them changed which requests were admitted, shed,
 // degraded, routed or pinned, or how the causal trace describes it.
 #include "serve/policy.hpp"
-#include "serve/router.hpp"
-#include "serve/swap.hpp"
 #include "serve/traffic.hpp"
 
 #include <gtest/gtest.h>
@@ -134,31 +132,23 @@ Values observe(const serve::Plan& p) {
   v.emplace_back("causal_fp", serve::expected_causal_fingerprint(p));
   v.emplace_back("causal_events", serve::expected_causal_event_count(p));
   v.emplace_back("shed_set_hash", p.shed_set_hash);
+  if (!p.assignment.empty()) {
+    v.emplace_back("routing_hash", p.routing_hash);
+    v.emplace_back("active_replicas", p.active.size());
+    for (std::size_t r = 0; r < p.replicas.size(); ++r) {
+      const std::string row = "replica" + std::to_string(r);
+      v.emplace_back(row + ".assigned", p.replicas[r].assigned);
+      v.emplace_back(row + ".shed_set_hash", p.replicas[r].shed_set_hash);
+    }
+  }
   add_counters(v, p.counters);
   add_latency(v, p.virtual_latency);
-  return v;
-}
-
-Values observe(const serve::RouterPlan& rp) {
-  Values v;
-  v.emplace_back("causal_fp", serve::expected_causal_fingerprint(rp));
-  v.emplace_back("causal_events", serve::expected_causal_event_count(rp));
-  v.emplace_back("shed_set_hash", rp.shed_set_hash);
-  v.emplace_back("routing_hash", rp.routing_hash);
-  v.emplace_back("active_replicas", rp.active.size());
-  for (std::size_t r = 0; r < rp.per_replica.size(); ++r) {
-    const std::string row = "replica" + std::to_string(r);
-    v.emplace_back(row + ".assigned", rp.per_replica[r].decisions.size());
-    v.emplace_back(row + ".shed_set_hash", rp.per_replica[r].shed_set_hash);
-  }
-  add_counters(v, rp.counters);
-  add_latency(v, rp.virtual_latency);
-  if (rp.swap.enabled) {
-    v.emplace_back("version_hash", rp.swap.version_hash);
-    v.emplace_back("verdict_us", rp.swap.verdict_us);
-    v.emplace_back("rolled_back", rp.swap.rolled_back ? 1u : 0u);
-    v.emplace_back("canary_served", rp.swap.canary_served);
-    v.emplace_back("cutovers", rp.swap.cutovers.size());
+  if (p.swap.enabled) {
+    v.emplace_back("version_hash", p.swap.version_hash);
+    v.emplace_back("verdict_us", p.swap.verdict_us);
+    v.emplace_back("rolled_back", p.swap.rolled_back ? 1u : 0u);
+    v.emplace_back("canary_served", p.swap.canary_served);
+    v.emplace_back("cutovers", p.swap.cutovers.size());
   }
   return v;
 }
@@ -257,7 +247,7 @@ TEST(ServeGolden, RoutedFleetWithOutageAndAutoscale) {
   router.fault.enabled = true;
   router.fault.outage_start_id = 1;  // replica 1 down
   router.fault.outage_len = 1;
-  const serve::RouterPlan rp =
+  const serve::Plan rp =
       serve::route_plan(trace, overload_policy(), batch_policy(), router, 4);
   expect_golden(observe(rp), {
       {"causal_fp", 0xad245ff2138246b2ull},
@@ -301,7 +291,7 @@ TEST(ServeGolden, RoutedFleetWithOutageAndAutoscale) {
 
 TEST(ServeGolden, SwapPromotes) {
   const auto trace = serve::make_trace(flash_traffic(1600.0), 32);
-  serve::RouterPlan rp = serve::route_plan(trace, swap_policy_slo(),
+  serve::Plan rp = serve::route_plan(trace, swap_policy_slo(),
                                            batch_policy(), {}, 3);
   serve::apply_swap(rp, trace, mid_trace_swap());
   ASSERT_FALSE(rp.swap.rolled_back);
@@ -353,7 +343,7 @@ TEST(ServeGolden, SwapRollsBack) {
   serve::SwapPolicy sp = mid_trace_swap();
   sp.candidate_fault.enabled = true;
   sp.candidate_fault.transient_rate = 1.0;
-  serve::RouterPlan rp = serve::route_plan(trace, swap_policy_slo(),
+  serve::Plan rp = serve::route_plan(trace, swap_policy_slo(),
                                            batch_policy(), {}, 3);
   serve::apply_swap(rp, trace, sp);
   ASSERT_TRUE(rp.swap.rolled_back);

@@ -249,15 +249,15 @@ TEST(ServeRouter, RoutePlanRespectsOutageAutoscaleAndHashes) {
   const serve::ServeConfig cfg = fleet_config();
   const serve::RouterPolicy router = outage_router();
 
-  const serve::RouterPlan rp =
+  const serve::Plan rp =
       serve::route_plan(trace, cfg.slo, cfg.batch, router, 4);
-  ASSERT_EQ(rp.total_replicas, 4u);
+  ASSERT_EQ(rp.replicas.size(), 4u);
   ASSERT_EQ(rp.alive.size(), 4u);
   EXPECT_EQ(rp.alive[1], 0u);  // the outage window covers replica 1
   EXPECT_EQ(rp.alive[0], 1u);
   // The active set is a subset of the alive set within policy bounds.
-  EXPECT_GE(rp.active_replicas, router.min_replicas);
-  EXPECT_LE(rp.active_replicas, 3u);
+  EXPECT_GE(rp.active.size(), router.min_replicas);
+  EXPECT_LE(rp.active.size(), 3u);
   for (const std::uint8_t r : rp.active) EXPECT_TRUE(rp.alive[r]);
   // Every request routes to an active replica; none to the downed one.
   ASSERT_EQ(rp.assignment.size(), trace.size());
@@ -266,12 +266,25 @@ TEST(ServeRouter, RoutePlanRespectsOutageAutoscaleAndHashes) {
     EXPECT_EQ(rp.assignment[i], serve::route_replica(router, i, rp.active));
   }
   // Replaying the plan reproduces it bit for bit (purity).
-  const serve::RouterPlan again =
+  const serve::Plan again =
       serve::route_plan(trace, cfg.slo, cfg.batch, router, 4);
   EXPECT_EQ(again.routing_hash, rp.routing_hash);
   EXPECT_EQ(again.shed_set_hash, rp.shed_set_hash);
   EXPECT_EQ(serve::expected_causal_fingerprint(again),
             serve::expected_causal_fingerprint(rp));
+}
+
+TEST(ServeRouter, RoutePlanRejectsMoreThan255Replicas) {
+  const auto trace = serve::make_trace(flash_traffic(), 32);
+  const serve::ServeConfig cfg = fleet_config();
+  // The assignment is a byte per request: replica 256 would alias replica 0.
+  EXPECT_THROW(serve::route_plan(trace, cfg.slo, cfg.batch, {}, 256),
+               std::invalid_argument);
+  const serve::Plan p = serve::route_plan(trace, cfg.slo, cfg.batch, {}, 255);
+  EXPECT_EQ(p.replicas.size(), 255u);
+  // Round-robin over all 255 replicas: request i lands on replica i.
+  ASSERT_LT(trace.size(), 255u);
+  EXPECT_EQ(p.assignment.back(), trace.size() - 1);
 }
 
 TEST(ServeRouter, FleetPayloadsAndFingerprintsMatchAcrossWorkerCounts) {
@@ -282,7 +295,7 @@ TEST(ServeRouter, FleetPayloadsAndFingerprintsMatchAcrossWorkerCounts) {
   const serve::RouterPolicy router = outage_router();
 
   serve::ReplicaGroup probe(f.spec(cfg, 3, router));
-  const serve::RouterPlan rp = probe.plan_trace(trace);
+  const serve::Plan rp = probe.plan_trace(trace);
 
   ThreadPool::instance().set_num_threads(1);
   cfg.num_workers = 1;
@@ -303,9 +316,9 @@ TEST(ServeRouter, FleetPayloadsAndFingerprintsMatchAcrossWorkerCounts) {
   ASSERT_EQ(r4.replicas.size(), 3u);
   for (std::size_t r = 0; r < 3; ++r) {
     EXPECT_EQ(r1.replicas[r].exec_shed_set_hash,
-              rp.per_replica[r].shed_set_hash);
+              rp.replicas[r].shed_set_hash);
     EXPECT_EQ(r4.replicas[r].exec_shed_set_hash,
-              rp.per_replica[r].shed_set_hash);
+              rp.replicas[r].shed_set_hash);
     EXPECT_EQ(r1.replicas[r].assigned, r4.replicas[r].assigned);
     EXPECT_EQ(r1.replicas[r].delivered, r4.replicas[r].delivered);
   }
@@ -328,11 +341,11 @@ TEST(ServeRouter, OutageRerouteKeepsDeliveredPayloadBits) {
   serve::RouterPolicy healthy = outage_router();
   healthy.fault = serve::FaultConfig{};  // all replicas alive
   serve::ReplicaGroup gh(f.spec(cfg, 3, healthy));
-  const serve::RouterPlan ph = gh.plan_trace(trace);
+  const serve::Plan ph = gh.plan_trace(trace);
   const serve::RouterReport rh = gh.run(trace);
 
   serve::ReplicaGroup go(f.spec(cfg, 3, outage_router()));
-  const serve::RouterPlan po = go.plan_trace(trace);
+  const serve::Plan po = go.plan_trace(trace);
   const serve::RouterReport ro = go.run(trace);
 
   // The outage reroutes every request that would have hit replica 1.

@@ -446,7 +446,7 @@ TEST(ServeSloPlanner, DisabledPolicyPlansTheTrivialLedger) {
     EXPECT_EQ(d.version, 0u) << i;
     EXPECT_FALSE(d.late) << i;
   }
-  EXPECT_TRUE(p.transitions.empty());
+  EXPECT_TRUE(p.control.empty());
   const serve::PlanCounters& c = p.counters;
   EXPECT_EQ(c.served, trace.size());
   EXPECT_EQ(c.served_primary, trace.size());

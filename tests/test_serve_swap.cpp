@@ -233,10 +233,10 @@ TEST(ApplySwap, OverlayIsPureVersionBlindAndPinsByAdmission) {
   serve::RouterPolicy router;
   const serve::SwapPolicy sp = mid_trace_swap(1, 2);
 
-  const serve::RouterPlan base =
+  const serve::Plan base =
       serve::route_plan(trace, cfg.slo, cfg.batch, router, 3);
-  serve::RouterPlan a = base;
-  serve::RouterPlan b = base;
+  serve::Plan a = base;
+  serve::Plan b = base;
   const serve::SwapPlan swa = serve::apply_swap(a, trace, sp);
   const serve::SwapPlan swb = serve::apply_swap(b, trace, sp);
 
@@ -316,7 +316,7 @@ TEST(ApplySwap, SeededFaultyCandidateRollsBackThroughBreaker) {
   sp.candidate_fault.enabled = true;
   sp.candidate_fault.transient_rate = 1.0;  // candidate fails every request
 
-  serve::RouterPlan rp = serve::route_plan(trace, cfg.slo, cfg.batch, router, 3);
+  serve::Plan rp = serve::route_plan(trace, cfg.slo, cfg.batch, router, 3);
   const serve::SwapPlan sw = serve::apply_swap(rp, trace, sp);
 
   EXPECT_TRUE(sw.rolled_back);
@@ -342,6 +342,16 @@ TEST(ApplySwap, SeededFaultyCandidateRollsBackThroughBreaker) {
   }
 }
 
+TEST(ApplySwap, RejectsAnUnroutedPlan) {
+  const auto trace = serve::make_trace(flash_traffic(), 32);
+  const serve::ServeConfig cfg = fleet_config();
+  // The canary boundary is a replica: a plan without a routing assignment
+  // has none to cut over.
+  serve::Plan p = serve::plan(trace, cfg.slo, cfg.batch);
+  EXPECT_THROW(serve::apply_swap(p, trace, mid_trace_swap(1, 2)),
+               std::invalid_argument);
+}
+
 // ---- end to end -----------------------------------------------------------
 
 // The "zero mixed-version payloads" gate: a swap run's output tensor must
@@ -358,7 +368,7 @@ TEST(SwapRun, PayloadProvenanceBitwiseEqualsPinnedRunsAtAnyWorkerCount) {
   ThreadPool::instance().set_num_threads(1);
   cfg.num_workers = 1;
   serve::ReplicaGroup g1(f.spec(cfg, 3, &sp));
-  const serve::RouterPlan rp = g1.plan_trace(trace);
+  const serve::Plan rp = g1.plan_trace(trace);
   ASSERT_TRUE(rp.swap.enabled);
   ASSERT_FALSE(rp.swap.rolled_back);
   const serve::RouterReport r1 = g1.run(trace);
@@ -431,7 +441,7 @@ TEST(SwapRun, CausalFingerprintMatchesOracleAcrossWorkerCounts) {
   ThreadPool::instance().set_num_threads(1);
   cfg.num_workers = 1;
   serve::ReplicaGroup g1(f.spec(cfg, 3, &sp));
-  const serve::RouterPlan rp = g1.plan_trace(trace);
+  const serve::Plan rp = g1.plan_trace(trace);
   ASSERT_TRUE(rp.swap.rolled_back);
   obs::begin_session();
   (void)g1.run(trace);

@@ -86,7 +86,7 @@ level, and every router scenario must satisfy
                             per replica
     routing_deterministic   the runtime routing hash equals route_plan()'s
     replica_sheds_match     every replica's executed shed set == its
-                            sub-plan's fingerprint
+                            plan row's fingerprint
     replica_zero_allocs     no replica arena grew during the measured run
     fleet_shed_match        the fleet shed-set union == the plan's
     no_lost_requests        every planned-served request was delivered

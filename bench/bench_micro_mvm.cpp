@@ -511,20 +511,26 @@ Json bench_analytic_mvm(const HarnessConfig& hc) {
   return out;
 }
 
-Json bench_pulse_mvm(const HarnessConfig& hc, bool device_model,
-                     bool* gate_ok) {
+/// One pulse-level row: the fused sweep against the per-pulse reference at
+/// `pulses` thermometer pulses. `device_model` adds programming variation,
+/// ADC and read noise; `spread` widens the variation until the array fails
+/// the exactness certificate, forcing the sequential fallback (DESIGN.md
+/// §12). `exact_tile_sums` records which path ran.
+Json bench_pulse_mvm(const HarnessConfig& hc, std::size_t pulses,
+                     bool device_model, bool spread, bool* gate_ok) {
   const Tensor w = random_binary(hc.pulse_out, hc.pulse_in, 6);
   xbar::MvmConfig cfg;
-  cfg.spec = enc::EncodingSpec{enc::Scheme::kThermometer, hc.pulses};
+  cfg.spec = enc::EncodingSpec{enc::Scheme::kThermometer, pulses};
   cfg.sigma = 1.0;
   if (device_model) {
     cfg.device.program_variation = 0.1;
     cfg.device.adc_bits = 8;
     cfg.device.read_noise_sigma = 0.05;
   }
+  if (spread) cfg.device.program_variation = 20.0;
   const Tensor x = random_tensor({hc.pulse_batch, hc.pulse_in}, 8);
   const std::size_t flops =
-      2 * hc.pulse_batch * hc.pulse_out * hc.pulse_in * hc.pulses;
+      2 * hc.pulse_batch * hc.pulse_out * hc.pulse_in * pulses;
 
   // Same construction seed for both engines: the fused batch-major sweep
   // must replay the per-pulse reference path's noise stream exactly, so a
@@ -540,8 +546,9 @@ Json bench_pulse_mvm(const HarnessConfig& hc, bool device_model,
                     y_fused.numel() * sizeof(float)) != 0) {
       std::fprintf(stderr,
                    "pulse_mvm GATE FAILURE: fused sweep diverged from the "
-                   "per-pulse reference bitwise (device_model=%d)\n",
-                   device_model ? 1 : 0);
+                   "per-pulse reference bitwise (pulses=%zu device_model=%d "
+                   "spread=%d)\n",
+                   pulses, device_model ? 1 : 0, spread ? 1 : 0);
       match = false;
       *gate_ok = false;
     }
@@ -563,8 +570,10 @@ Json bench_pulse_mvm(const HarnessConfig& hc, bool device_model,
   out.set("batch", hc.pulse_batch);
   out.set("out", hc.pulse_out);
   out.set("in", hc.pulse_in);
-  out.set("pulses", hc.pulses);
+  out.set("pulses", pulses);
   out.set("device_model", device_model);
+  out.set("exact_tile_sums", fused.array().exact_tile_sums());
+  if (spread) out.set("fallback_taken", !fused.array().exact_tile_sums());
   out.set("fused_ms", t_fused * 1e3);
   out.set("reference_ms", t_ref * 1e3);
   out.set("gflops_fused", gflops(flops, t_fused));
@@ -964,12 +973,22 @@ int run_harness(const HarnessConfig& hc) {
               hc.mvm_batch);
   doc.set("analytic_mvm", bench_analytic_mvm(hc));
 
-  std::printf("[pulse mvm] %zux%zu batch=%zu pulses=%zu (fused vs reference, "
-              "bitwise gate)...\n",
+  std::printf("[pulse mvm] %zux%zu batch=%zu pulses=%zu, 6, 10, 14 and a "
+              "forced fallback (fused vs reference, bitwise gate)...\n",
               hc.pulse_out, hc.pulse_in, hc.pulse_batch, hc.pulses);
-  doc.set("pulse_mvm", bench_pulse_mvm(hc, /*device_model=*/false, &gate_ok));
+  doc.set("pulse_mvm", bench_pulse_mvm(hc, hc.pulses, /*device_model=*/false,
+                                       /*spread=*/false, &gate_ok));
   doc.set("pulse_mvm_device_model",
-          bench_pulse_mvm(hc, /*device_model=*/true, &gate_ok));
+          bench_pulse_mvm(hc, hc.pulses, /*device_model=*/true,
+                          /*spread=*/false, &gate_ok));
+  // The GBO schedule's non-dyadic counts, and the forced fallback.
+  for (std::size_t n : {6, 10, 14})
+    doc.set("pulse_mvm_n" + std::to_string(n),
+            bench_pulse_mvm(hc, n, /*device_model=*/true, /*spread=*/false,
+                            &gate_ok));
+  doc.set("pulse_mvm_fallback",
+          bench_pulse_mvm(hc, hc.pulses, /*device_model=*/false,
+                          /*spread=*/true, &gate_ok));
 
   std::printf("[activations] %zu QuantTanh inputs (thresholds vs libm, "
               "bitwise gate)...\n", hc.act_n);

@@ -14,9 +14,12 @@
 #pragma once
 
 #include "crossbar/device_model.hpp"
+#include "encoding/pulse_train.hpp"
 #include "tensor/tensor.hpp"
 
+#include <cstdint>
 #include <functional>
+#include <vector>
 
 namespace gbo::xbar {
 
@@ -56,30 +59,50 @@ class CrossbarArray {
   using PulseSink =
       std::function<void(std::size_t idx, const float* per_pulse)>;
 
-  /// Fused multi-pulse MVM: computes mvm_pulse for every pulse tensor in
-  /// `pulses` (each [N, in]) in a single batch-major sweep of the weight
-  /// matrix — each weight tile is loaded once and accumulated against all
-  /// pulses while register/cache resident, instead of once per pulse — and
-  /// streams each element's per-pulse results to `sink` instead of
-  /// materializing pulses.size() output tensors. `read_noise` must be null
-  /// when read noise is disabled, else hold pulses.size() *
-  /// read_noise_draws(N) values laid out pulse-major, each pulse's slice
-  /// filled by fill_read_noise. Values handed to the sink are bitwise
-  /// identical to calling mvm_pulse per pulse with the same noise stream,
-  /// at any thread count.
-  void mvm_pulse_train(const std::vector<Tensor>& pulses,
-                       const double* read_noise, const PulseSink& sink) const;
+  /// A batch of inputs as one level code per element ([batch, in],
+  /// row-major) instead of spec.num_pulses pulse tensors. Thermometer:
+  /// pulse p fires +1 iff code > p (enc::thermometer_level). Bit slicing:
+  /// pulse p fires +1 iff bit p of the code is set (enc::bit_slicing_level).
+  struct PulseCodes {
+    enc::EncodingSpec spec;
+    std::size_t batch = 0;
+    const std::uint32_t* codes = nullptr;
+  };
 
-  /// Output-range (bit-line shard) variant: computes only output lines in
-  /// [o_begin, o_end) and hands the sink the same global element indices.
-  /// `read_noise` still spans the FULL (row, output, tile) index space —
-  /// every element's computation and noise lookup is keyed by its global
+  /// Fused multi-pulse MVM over output lines [o_begin, o_end): computes
+  /// what mvm_pulse returns for every pulse of `x` and streams each
+  /// element's per-pulse results to `sink` instead of materializing one
+  /// output tensor per pulse. `read_noise` must be null when read noise is
+  /// disabled, else hold num_pulses * read_noise_draws(batch) values laid
+  /// out pulse-major, each pulse's slice filled by fill_read_noise. It
+  /// spans the FULL (row, output, tile) index space even for a sub-range:
+  /// every element's arithmetic and noise lookup is keyed by its global
   /// coordinates, which is what makes a sharded sweep (ascending disjoint
-  /// ranges, see xbar::column_shards) bitwise identical to the unsharded
-  /// call above. The full-range call delegates here.
-  void mvm_pulse_train(const std::vector<Tensor>& pulses,
-                       const double* read_noise, const PulseSink& sink,
-                       std::size_t o_begin, std::size_t o_end) const;
+  /// ranges, see xbar::column_shards) bitwise identical to one full-range
+  /// call. Values handed to the sink are bitwise identical to calling
+  /// mvm_pulse per pulse with the same noise stream, at any thread count.
+  ///
+  /// Two ways to the same bits (DESIGN.md §12). When the array holds the
+  /// exactness certificate (exact_tile_sums()) and the code is a
+  /// thermometer, pulses are nested, so a tile's current at pulse p is
+  /// 2·Σ_{level_j > p} w_j − Σ_j w_j: one pass sorts the tile's columns into
+  /// level buckets and running sums over the buckets give every pulse —
+  /// O(in + n) per (row, output, tile) instead of O(in · n). The
+  /// certificate makes every one of those sums exact, so they equal the
+  /// sequential dot product bit for bit. Otherwise (bit slicing, or an
+  /// uncertified array) each pulse's current is the sequential dot product
+  /// of mvm_pulse, with each ±1 derived from the code. Read noise and the
+  /// ADC apply after the tile sum either way, as in mvm_pulse.
+  void mvm_pulse_train(const PulseCodes& x, const double* read_noise,
+                       const PulseSink& sink, std::size_t o_begin,
+                       std::size_t o_end) const;
+
+  /// The exactness certificate, checked once at construction over every
+  /// cell value the pulse sweep reads (eff_weight_ under differential
+  /// mapping; raw_g_ and ref_g_ under offset mapping): all finite, all
+  /// multiples of one 2^q, and 2 · tile_cols · max|w| < 2^(q+53). The array
+  /// is immutable after construction, so the certificate never goes stale.
+  bool exact_tile_sums() const { return !cells_t_.empty(); }
 
   /// The effective (post-programming) weight the array realizes in the
   /// sign domain: (G+ − G−) for differential mapping, (G − G_ref) ·
@@ -102,6 +125,14 @@ class CrossbarArray {
   // shared reference cells (one mid-level cell per input line).
   Tensor raw_g_;       // [out, in]
   Tensor ref_g_;       // [in]
+  // The cells the pulse sweep reads (eff_weight_, or raw_g_ under offset
+  // mapping) transposed to [in, cells_t_stride_] doubles with zero padding,
+  // so one column's outputs sit side by side for the level-bucket sums.
+  // Empty when the exactness certificate fails.
+  std::vector<double> cells_t_;
+  std::size_t cells_t_stride_ = 0;
+
+  void certify_exact_tile_sums();
 };
 
 }  // namespace gbo::xbar

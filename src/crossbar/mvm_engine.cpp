@@ -31,8 +31,7 @@ Tensor MvmEngine::encode_and_snap(const Tensor& activations) const {
   return snapped;
 }
 
-enc::PulseTrain MvmEngine::encode_train(const Tensor& activations,
-                                        ScratchArena* arena) const {
+enc::PulseTrain MvmEngine::encode_train(const Tensor& activations) const {
   if (activations.ndim() != 2)
     throw std::invalid_argument("MvmEngine: expected [N, in] activations, got " +
                                 activations.shape_str());
@@ -40,17 +39,26 @@ enc::PulseTrain MvmEngine::encode_train(const Tensor& activations,
   GBO_TRACE_SPAN(obs::EventType::kPulseEncode, activations.dim(0),
                  static_cast<std::uint16_t>(num_pulses),
                  num_pulses * activations.numel());
-  enc::PulseTrain train;
-  train.spec = cfg_.spec;
-  train.pulses.reserve(num_pulses);
-  for (std::size_t i = 0; i < num_pulses; ++i)
-    train.pulses.push_back(arena ? arena->take(activations.shape())
-                                 : Tensor(activations.shape()));
-  if (cfg_.spec.scheme == enc::Scheme::kThermometer)
-    enc::thermometer_encode_into(activations, num_pulses, train.pulses);
-  else
-    enc::bit_slicing_encode_into(activations, num_pulses, train.pulses);
-  return train;
+  return cfg_.spec.scheme == enc::Scheme::kThermometer
+             ? enc::thermometer_encode(activations, num_pulses)
+             : enc::bit_slicing_encode(activations, num_pulses);
+}
+
+void MvmEngine::encode_codes(const Tensor& activations,
+                             std::uint32_t* codes) const {
+  const std::size_t num_pulses = cfg_.spec.num_pulses;
+  GBO_TRACE_SPAN(obs::EventType::kPulseEncode, activations.dim(0),
+                 static_cast<std::uint16_t>(num_pulses),
+                 num_pulses * activations.numel());
+  const float* a = activations.data();
+  const std::size_t n = activations.numel();
+  if (cfg_.spec.scheme == enc::Scheme::kThermometer) {
+    for (std::size_t i = 0; i < n; ++i)
+      codes[i] = static_cast<std::uint32_t>(enc::thermometer_level(a[i], num_pulses));
+  } else {
+    for (std::size_t i = 0; i < n; ++i)
+      codes[i] = static_cast<std::uint32_t>(enc::bit_slicing_level(a[i], num_pulses));
+  }
 }
 
 std::vector<float> MvmEngine::normalized_pulse_weights() const {
@@ -87,18 +95,20 @@ Tensor MvmEngine::run_pulse_level(const Tensor& activations, Rng* row_rngs,
 Tensor MvmEngine::run_pulse_level_streams(const Tensor& activations,
                                           Rng* rngs, std::size_t num_streams,
                                           ScratchArena* arena) const {
-  enc::PulseTrain train = encode_train(activations, arena);
+  if (activations.ndim() != 2 || activations.dim(1) != array_.cols())
+    throw std::invalid_argument("MvmEngine: expected [N, in] activations, got " +
+                                activations.shape_str());
   const std::size_t batch = activations.dim(0);
   const std::size_t out_n = array_.rows();
+  const std::size_t num_pulses = cfg_.spec.num_pulses;
   // An empty pulse train (num_pulses == 0) contributes no current: the
   // decoded result is exactly zero, not a default-constructed tensor.
-  if (train.pulses.empty()) {
+  if (num_pulses == 0) {
     Tensor zero = arena ? arena->take({batch, out_n}) : Tensor({batch, out_n});
     if (arena) zero.fill(0.0f);
     return zero;
   }
 
-  const std::size_t num_pulses = train.pulses.size();
   const std::size_t bn = batch * out_n;
   const bool has_sigma = cfg_.sigma > 0.0;
 
@@ -112,26 +122,34 @@ Tensor MvmEngine::run_pulse_level_streams(const Tensor& activations,
   // is replayed per sample group from that sample's own generator — each
   // group's draws land in its contiguous slice of the pulse-major buffers,
   // so the sweep below is oblivious to how the noise was drawn.
-  // The draw buffers are the pulse path's largest transients; with an arena
-  // they are bump scratch instead of per-call vectors.
+  // The code and draw buffers are the pulse path's transients; with an
+  // arena they are bump scratch instead of per-call vectors.
   const std::size_t stride = array_.read_noise_draws(batch);
   const std::size_t group = batch / num_streams;
   const std::size_t group_rn = array_.read_noise_draws(group);
   const std::size_t group_bn = group * out_n;
   ArenaFrame frame(arena);
+  std::vector<std::uint32_t> codes_own;
   std::vector<double> read_noise_own;
   std::vector<float> out_noise_own;
+  std::uint32_t* codes;
   double* read_noise;
   float* out_noise;
   if (arena) {
+    codes = arena->alloc_u32(activations.numel());
     read_noise = arena->alloc_doubles(stride * num_pulses);
     out_noise = arena->alloc_floats(has_sigma ? num_pulses * bn : 0);
   } else {
+    codes_own.resize(activations.numel());
     read_noise_own.resize(stride * num_pulses);
     out_noise_own.resize(has_sigma ? num_pulses * bn : 0);
+    codes = codes_own.data();
     read_noise = read_noise_own.data();
     out_noise = out_noise_own.data();
   }
+  // One level code per activation element stands for the whole pulse
+  // train: pulse tensors are never built on this path.
+  encode_codes(activations, codes);
   for (std::size_t s = 0; s < num_streams; ++s) {
     Rng& rng = rngs[s];
     for (std::size_t i = 0; i < num_pulses; ++i) {
@@ -146,11 +164,11 @@ Tensor MvmEngine::run_pulse_level_streams(const Tensor& activations,
 
   const std::vector<float>& w = norm_weights_;
 
-  // One fused batch-major sweep of the weight matrix for all pulses; the
-  // sink decodes each element in place (peripheral scale, Eq. 1 noise,
-  // weighted pulse sum — the same float operations, in the same order, as
-  // the reference path's per-tensor loops), so no per-pulse output tensors
-  // are ever materialized.
+  // One fused sweep of the crossbar for all pulses; the sink decodes each
+  // element in place (peripheral scale, Eq. 1 noise, weighted pulse sum —
+  // the same float operations, in the same order, as the reference path's
+  // per-tensor loops), so no per-pulse output tensors are ever
+  // materialized.
   Tensor out = arena ? arena->take({batch, out_n}) : Tensor({batch, out_n});
   float* po = out.data();
   const float* on = out_noise;
@@ -169,9 +187,10 @@ Tensor MvmEngine::run_pulse_level_streams(const Tensor& activations,
         }
         po[idx] = acc;
       };
+  const CrossbarArray::PulseCodes x{cfg_.spec, batch, codes};
   const double* rn = stride > 0 ? read_noise : nullptr;
   if (cfg_.shard_cols == 0 || cfg_.shard_cols >= out_n) {
-    array_.mvm_pulse_train(train.pulses, rn, decode);
+    array_.mvm_pulse_train(x, rn, decode, 0, out_n);
   } else {
     // Column-sharded execution (DESIGN.md §10): the mapper fixes the shard
     // geometry, each shard is a range-restricted sweep of the same
@@ -180,15 +199,8 @@ Tensor MvmEngine::run_pulse_level_streams(const Tensor& activations,
     TileShape tile;
     tile.cols = cfg_.shard_cols;
     for (const auto& shard : column_shards(out_n, tile))
-      array_.mvm_pulse_train(train.pulses, rn, decode, shard.first,
-                             shard.second);
+      array_.mvm_pulse_train(x, rn, decode, shard.first, shard.second);
   }
-  // Return the encode buffers to the worker's pool: after a warm-up
-  // request, the pulse path's tensors — encode buffers, noise pre-draws,
-  // output — come entirely from the arena; the only remaining per-request
-  // heap touch is the few-byte pulse-handle vector header (DESIGN.md §4).
-  if (arena)
-    for (Tensor& p : train.pulses) arena->put(std::move(p));
   return out;
 }
 

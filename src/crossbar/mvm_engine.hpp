@@ -40,8 +40,9 @@ class MvmEngine {
 
   /// Ground truth: pulse-level execution. activations: [N, in] values in
   /// [-1, 1]; returns [N, out] decoded currents scaled back to the weight
-  /// domain (times s). Internally fused batch-major (one weight-matrix
-  /// sweep per batch row for the whole pulse train); bitwise identical to
+  /// domain (times s). Internally one level code per element stands for
+  /// the whole pulse train, and one fused crossbar sweep serves every pulse
+  /// (CrossbarArray::mvm_pulse_train); bitwise identical to
   /// run_pulse_level_reference for the same seed, at any thread count.
   /// An empty pulse train yields an explicit zero [N, out] result.
   ///
@@ -95,12 +96,13 @@ class MvmEngine {
                                  ScratchArena* arena) const;
 
   Tensor encode_and_snap(const Tensor& activations) const;
-  /// Validates [N, in] shape and encodes per the configured scheme. With an
-  /// arena, the pulse tensors are recycled through its pool (run_pulse_level
-  /// puts them back after the fused sweep) — the encode buffers were the
-  /// pulse path's last per-request tensor allocations (DESIGN.md §4).
-  enc::PulseTrain encode_train(const Tensor& activations,
-                               ScratchArena* arena = nullptr) const;
+  /// Validates [N, in] shape and encodes per the configured scheme into
+  /// pulse tensors (the reference path).
+  enc::PulseTrain encode_train(const Tensor& activations) const;
+  /// One level code per element (enc::thermometer_level or
+  /// enc::bit_slicing_level) into codes[0 .. activations.numel()): the
+  /// fused path's input format (CrossbarArray::PulseCodes).
+  void encode_codes(const Tensor& activations, std::uint32_t* codes) const;
   /// Per-pulse decode weights w_i / Σ w_i as float.
   std::vector<float> normalized_pulse_weights() const;
 

@@ -23,12 +23,7 @@ PulseTrain bit_slicing_encode(const Tensor& activations, std::size_t num_pulses)
   PulseTrain train;
   train.spec = EncodingSpec{Scheme::kBitSlicing, num_pulses};
   train.pulses.assign(num_pulses, Tensor(activations.shape()));
-  bit_slicing_encode_into(activations, num_pulses, train.pulses);
-  return train;
-}
-
-void bit_slicing_encode_into(const Tensor& activations, std::size_t num_pulses,
-                             std::vector<Tensor>& pulses) {
+  std::vector<Tensor>& pulses = train.pulses;
   const float* a = activations.data();
   for (std::size_t j = 0; j < activations.numel(); ++j) {
     const std::size_t level = bit_slicing_level(a[j], num_pulses);
@@ -37,6 +32,7 @@ void bit_slicing_encode_into(const Tensor& activations, std::size_t num_pulses,
       pulses[i][j] = bit ? 1.0f : -1.0f;
     }
   }
+  return train;
 }
 
 }  // namespace gbo::enc

@@ -14,11 +14,6 @@ std::size_t bit_slicing_level(float value, std::size_t num_pulses);
 /// Encodes activations in [-1, 1] into bipolar bit-sliced pulses.
 PulseTrain bit_slicing_encode(const Tensor& activations, std::size_t num_pulses);
 
-/// Same encoding into caller-provided pulse tensors (see
-/// thermometer_encode_into); bitwise identical to bit_slicing_encode.
-void bit_slicing_encode_into(const Tensor& activations, std::size_t num_pulses,
-                             std::vector<Tensor>& pulses);
-
 /// Nearest representable value under p-pulse bit slicing.
 float bit_slicing_snap(float value, std::size_t num_pulses);
 

@@ -1,31 +1,12 @@
 #include "encoding/thermometer.hpp"
 
-#include <cmath>
-
 namespace gbo::enc {
-
-std::size_t thermometer_level(float value, std::size_t num_pulses) {
-  value = value > 1.0f ? 1.0f : (value < -1.0f ? -1.0f : value);
-  const float p = static_cast<float>(num_pulses);
-  const long idx = std::lround((value + 1.0f) * 0.5f * p);
-  return static_cast<std::size_t>(idx < 0 ? 0 : idx);
-}
-
-float thermometer_snap(float value, std::size_t num_pulses) {
-  const float p = static_cast<float>(num_pulses);
-  return (2.0f * static_cast<float>(thermometer_level(value, num_pulses)) - p) / p;
-}
 
 PulseTrain thermometer_encode(const Tensor& activations, std::size_t num_pulses) {
   PulseTrain train;
   train.spec = EncodingSpec{Scheme::kThermometer, num_pulses};
   train.pulses.assign(num_pulses, Tensor(activations.shape()));
-  thermometer_encode_into(activations, num_pulses, train.pulses);
-  return train;
-}
-
-void thermometer_encode_into(const Tensor& activations, std::size_t num_pulses,
-                             std::vector<Tensor>& pulses) {
+  std::vector<Tensor>& pulses = train.pulses;
   const float* a = activations.data();
   for (std::size_t j = 0; j < activations.numel(); ++j) {
     const std::size_t level = thermometer_level(a[j], num_pulses);
@@ -33,6 +14,7 @@ void thermometer_encode_into(const Tensor& activations, std::size_t num_pulses,
     for (std::size_t i = 0; i < num_pulses; ++i)
       pulses[i][j] = i < level ? 1.0f : -1.0f;
   }
+  return train;
 }
 
 }  // namespace gbo::enc

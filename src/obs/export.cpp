@@ -22,6 +22,7 @@ bool is_span(EventType t) {
     case EventType::kBinaryMvm:
     case EventType::kPulseEncode:
     case EventType::kBinaryPack:
+    case EventType::kPulseMvm:
       return true;
     default:
       return false;
@@ -30,7 +31,8 @@ bool is_span(EventType t) {
 
 bool is_kernel(EventType t) {
   return t == EventType::kGemm || t == EventType::kBinaryMvm ||
-         t == EventType::kPulseEncode || t == EventType::kBinaryPack;
+         t == EventType::kPulseEncode || t == EventType::kBinaryPack ||
+         t == EventType::kPulseMvm;
 }
 
 }  // namespace

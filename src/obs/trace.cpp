@@ -32,6 +32,7 @@ const char* event_name(EventType t) {
     case EventType::kPulseEncode: return "pulse_encode";
     case EventType::kArenaAlloc: return "arena_alloc";
     case EventType::kBinaryPack: return "binary_pack";
+    case EventType::kPulseMvm: return "pulse_mvm";
     case EventType::kCount: break;
   }
   return "?";

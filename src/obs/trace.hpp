@@ -73,6 +73,8 @@ enum class EventType : std::uint8_t {
   kPulseEncode = 15,  // span: pulse-train encode, arg=pulses encoded
   kArenaAlloc = 16,   // instant: arena system alloc, arg=bytes
   kBinaryPack = 17,   // span: A-side thermometer encode, arg=lanes encoded
+  kPulseMvm = 18,     // span: fused pulse-level crossbar MVM, id=rows,
+                      // a=pulses, arg=rows*outputs*in*pulses
   kCount
 };
 

@@ -102,6 +102,10 @@ const SwapPlan& apply_swap(Plan& p, const std::vector<Arrival>& trace,
     }
   }
   sp.breaker_opens = breaker.opens();
+  // No evidence is no promotion: with no canary request evaluated (none
+  // primary-served on the canary replica at or after start_us), the
+  // rollout rolls back at start_us instead of cutting every replica over.
+  if (sp.canary_served == 0) sp.rolled_back = true;
 
   // The cutover schedule: the canary first, then — at the verdict — either
   // every other active replica forward or the canary back.

@@ -102,7 +102,8 @@ struct SwapPolicy {
   std::uint64_t canary_latency_slo_us = 0;
   /// Health-check breaker (PR 6 semantics on the virtual clock): the
   /// rollout rolls back the moment the breaker opens over the canary's
-  /// health stream, and promotes if it never does.
+  /// health stream, and promotes if it never does over at least one
+  /// evaluated canary request.
   BreakerPolicy breaker;
   /// Deterministic fault stream attributed to the candidate version (pure
   /// in (seed, request id)): fails(id, 0) on a canary-served request is a
@@ -127,7 +128,8 @@ struct SwapPlan {
   std::uint64_t start_us = 0;
   /// Virtual instant the verdict lands: v_done of the canary request that
   /// decided it (breaker open => rollback; evaluation exhausted without an
-  /// open => promote). start_us when nothing was canary-served.
+  /// open => promote). start_us when nothing was canary-served, and then
+  /// the verdict is a rollback: no evidence, no promotion.
   std::uint64_t verdict_us = 0;
   bool rolled_back = false;
   std::size_t canary_served = 0;   // health-evaluated canary requests

@@ -61,6 +61,11 @@ std::uint8_t* ScratchArena::alloc_u8(std::size_t n) {
   return reinterpret_cast<std::uint8_t*>(alloc_bytes(n));
 }
 
+std::uint32_t* ScratchArena::alloc_u32(std::size_t n) {
+  if (n == 0) return nullptr;
+  return reinterpret_cast<std::uint32_t*>(alloc_bytes(n * sizeof(std::uint32_t)));
+}
+
 Tensor ScratchArena::take_pooled(std::size_t numel) {
   if (pool_.empty()) {
     ++stats_.system_allocs;

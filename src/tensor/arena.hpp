@@ -60,6 +60,7 @@ class ScratchArena {
   double* alloc_doubles(std::size_t n);
   std::uint64_t* alloc_words(std::size_t n);  // bit-packed kernel operands
   std::uint8_t* alloc_u8(std::size_t n);      // one-byte level codes
+  std::uint32_t* alloc_u32(std::size_t n);    // pulse-level input codes
 
   /// Rewinds the bump region to empty (no frames may be live). Keeps all
   /// memory for reuse.

@@ -1,11 +1,13 @@
 // Unit + parameterized property tests for the bit-encoding substrate.
 #include "encoding/bit_slicing.hpp"
 #include "encoding/thermometer.hpp"
+#include "gbo/gbo.hpp"
 #include "tensor/ops.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 namespace gbo::enc {
 namespace {
@@ -42,6 +44,42 @@ TEST(Thermometer, LevelMapping) {
   EXPECT_EQ(thermometer_level(0.0f, 8), 4u);
   EXPECT_EQ(thermometer_level(1.0f, 8), 8u);
   EXPECT_EQ(thermometer_level(0.25f, 8), 5u);
+}
+
+TEST(Thermometer, LevelEqualsLroundAroundEveryRoundingThreshold) {
+  // thermometer_level rounds by truncate-and-compare instead of lround;
+  // it must give lround's level on the same float product everywhere.
+  auto lround_level = [](float v, std::size_t n) {
+    v = v > 1.0f ? 1.0f : (v < -1.0f ? -1.0f : v);
+    const long idx = std::lround((v + 1.0f) * 0.5f * static_cast<float>(n));
+    return static_cast<std::size_t>(idx < 0 ? 0 : idx);
+  };
+  std::vector<std::size_t> counts = opt::GboConfig{}.pulse_lengths();
+  counts.push_back(1);
+  counts.push_back(16);
+  for (std::size_t n : counts) {
+    std::size_t checked = 0, mismatches = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      // The value whose product lands on the tie k + 1/2, ±2^12 ulps.
+      const float tie = (2.0f * static_cast<float>(k) + 1.0f) /
+                            static_cast<float>(n) - 1.0f;
+      float v = tie;
+      for (int i = 0; i < 4096; ++i) v = std::nextafter(v, -2.0f);
+      for (int i = 0; i <= 2 * 4096; ++i, v = std::nextafter(v, 2.0f)) {
+        ++checked;
+        if (thermometer_level(v, n) != lround_level(v, n)) ++mismatches;
+      }
+    }
+    EXPECT_EQ(checked, n * 8193) << "n=" << n;
+    EXPECT_EQ(mismatches, 0u) << "n=" << n;
+    const float inf = std::numeric_limits<float>::infinity();
+    EXPECT_EQ(thermometer_level(std::numeric_limits<float>::quiet_NaN(), n),
+              0u);
+    EXPECT_EQ(thermometer_level(inf, n), n);
+    EXPECT_EQ(thermometer_level(-inf, n), 0u);
+    for (float v : {0.0f, -0.0f, 1.0f, -1.0f})
+      EXPECT_EQ(thermometer_level(v, n), lround_level(v, n)) << v;
+  }
 }
 
 TEST(Thermometer, EncodeDecodeRoundTripAllLevels) {

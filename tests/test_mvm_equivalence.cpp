@@ -5,12 +5,14 @@
 #include "crossbar/mvm_engine.hpp"
 
 #include "common/thread_pool.hpp"
+#include "gbo/gbo.hpp"
 #include "tensor/ops.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <tuple>
 
 namespace gbo::xbar {
@@ -218,6 +220,94 @@ TEST(MvmEngine, FusedPulsePathMatchesReferenceBitwiseAtAnyThreadCount) {
           << c.name << " diverges at " << threads << " thread(s)";
     }
   }
+}
+
+// ---- level-bucket sums under the exactness certificate ----------------
+//
+// A certified array sums thermometer pulses by level buckets instead of one
+// dot product per pulse (DESIGN.md §12). The certificate makes those sums
+// exact, so the result must equal the per-pulse reference bit for bit.
+
+/// Runs `cfg` fused at 1 and 4 threads, unsharded and sharded, against the
+/// single-thread reference; returns whether the array took the level-bucket
+/// path.
+bool expect_fused_matches_reference(const Tensor& w, MvmConfig cfg,
+                                    const Tensor& x, const std::string& name) {
+  const Tensor ref = run_with_threads(w, cfg, x, 1, /*fused=*/false);
+  for (std::size_t shard : {std::size_t{0}, std::size_t{4}}) {
+    cfg.shard_cols = shard;
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      const Tensor fused = run_with_threads(w, cfg, x, threads, /*fused=*/true);
+      EXPECT_TRUE(fused.same_shape(ref)) << name;
+      EXPECT_EQ(0, std::memcmp(fused.data(), ref.data(),
+                               ref.numel() * sizeof(float)))
+          << name << " diverges at " << threads << " thread(s), shard_cols "
+          << shard;
+    }
+  }
+  return MvmEngine(w, cfg, Rng(42)).array().exact_tile_sums();
+}
+
+TEST(MvmEngine, CertifiedBucketSumsMatchReferenceAtEveryPulseCount) {
+  const Tensor w = random_binary_weight(9, 37, 51);  // tiles of 16, 16, 5
+  Tensor x = random_activations(5, 37, 52);
+  // Saturated inputs pile whole tiles into the extreme buckets.
+  for (std::size_t j = 0; j < 8; ++j) x.at(0, j) = j % 2 ? 1.0f : -1.0f;
+  for (WeightMapping mapping :
+       {WeightMapping::kDifferential, WeightMapping::kOffset}) {
+    DeviceConfig d;
+    d.mapping = mapping;
+    d.g_off = mapping == WeightMapping::kOffset ? 0.1 : 0.0;
+    d.program_variation = 0.1;
+    d.stuck_on_rate = 0.05;
+    d.stuck_off_rate = 0.05;
+    d.read_noise_sigma = 0.05;
+    d.adc_bits = 8;
+    for (std::size_t pulses : opt::GboConfig{}.pulse_lengths()) {
+      MvmConfig cfg;
+      cfg.spec = enc::EncodingSpec{enc::Scheme::kThermometer, pulses};
+      cfg.sigma = 0.7;
+      cfg.device = d;
+      cfg.tile_cols = 16;
+      const std::string name =
+          std::string(mapping == WeightMapping::kOffset ? "offset" : "diff") +
+          " n=" + std::to_string(pulses);
+      EXPECT_TRUE(expect_fused_matches_reference(w, cfg, x, name))
+          << name << " did not take the level-bucket path";
+    }
+  }
+}
+
+TEST(MvmEngine, UncertifiedArrayFallsBackBitwise) {
+  // Lognormal variation this wide spreads the cell values over ~2^170:
+  // no 2^q grid fits a tile sum in 53 bits, so the certificate must fail
+  // and the sweep run the sequential dot products.
+  const Tensor w = random_binary_weight(9, 37, 53);
+  const Tensor x = random_activations(5, 37, 54);
+  MvmConfig cfg;
+  cfg.spec = enc::EncodingSpec{enc::Scheme::kThermometer, 6};
+  cfg.sigma = 0.5;
+  cfg.device.program_variation = 20.0;
+  cfg.device.read_noise_sigma = 0.05;
+  cfg.tile_cols = 16;
+  EXPECT_FALSE(expect_fused_matches_reference(w, cfg, x, "spread"));
+}
+
+TEST(MvmEngine, TileSummingToZeroGivesPositiveZero) {
+  // Two saturated-high and two saturated-low inputs under equal weights:
+  // every pulse's tile current cancels exactly. The sequential dot product
+  // yields +0.0, and so does 2·S − T; the output must be +0.0, bitwise
+  // equal to the reference.
+  const Tensor w({1, 4}, {1.0f, 1.0f, 1.0f, 1.0f});
+  const Tensor x({1, 4}, {1.0f, -1.0f, 1.0f, -1.0f});
+  MvmConfig cfg;
+  cfg.spec = enc::EncodingSpec{enc::Scheme::kThermometer, 6};
+  cfg.sigma = 0.0;
+  EXPECT_TRUE(expect_fused_matches_reference(w, cfg, x, "zero"));
+  MvmEngine engine(w, cfg, Rng(1));
+  const Tensor y = engine.run_pulse_level(x);
+  EXPECT_EQ(y[0], 0.0f);
+  EXPECT_FALSE(std::signbit(y[0]));
 }
 
 TEST(MvmEngine, PerSampleStreamsMatchPerRequestGroupsBitwise) {

@@ -4,11 +4,14 @@
 // session protocol, pool worker-id stamping, the Chrome trace exporter, and
 // the headline end-to-end contract: the causal event stream of a serving
 // run hashes identically at 1 and 4 workers and equals the planner-derived
-// oracle — including a full SLO flash-crowd run.
+// oracle — including a full SLO flash-crowd run and a pulse-level run whose
+// crossbar sweeps carry kernel spans.
 #include "common/thread_pool.hpp"
+#include "crossbar/hw_deploy.hpp"
 #include "models/mlp.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"
+#include "serve/backend.hpp"
 #include "serve/policy.hpp"
 #include "serve/server.hpp"
 #include "tensor/ops.hpp"
@@ -25,21 +28,6 @@ struct ThreadGuard {
   std::size_t saved = ThreadPool::instance().num_threads();
   ~ThreadGuard() { ThreadPool::instance().set_num_threads(saved); }
 };
-
-Tensor random_tensor(std::vector<std::size_t> shape, std::uint64_t seed) {
-  Rng rng(seed);
-  Tensor t(std::move(shape));
-  ops::fill_uniform(t, rng, -1.0f, 1.0f);
-  return t;
-}
-
-data::Dataset random_dataset(std::size_t n, std::size_t features,
-                             std::uint64_t seed) {
-  data::Dataset ds;
-  ds.images = random_tensor({n, features}, seed);
-  ds.labels.assign(n, 0);
-  return ds;
-}
 
 obs::Event make_event(obs::EventType type, std::uint64_t id, std::uint16_t a,
                       std::uint64_t arg, std::uint64_t t_us = 0,
@@ -109,7 +97,8 @@ TEST(CausalFingerprint, CausalTimingPartitionMatchesEventVocabulary) {
   for (auto t : {EventType::kBatch, EventType::kBatchMember,
                  EventType::kQueuePop, EventType::kStall, EventType::kGemm,
                  EventType::kBinaryMvm, EventType::kPulseEncode,
-                 EventType::kArenaAlloc, EventType::kBinaryPack})
+                 EventType::kArenaAlloc, EventType::kBinaryPack,
+                 EventType::kPulseMvm})
     EXPECT_FALSE(obs::is_causal(t)) << obs::event_name(t);
 }
 
@@ -130,6 +119,21 @@ TEST(TraceRing, FillsThenDropsAndCounts) {
 
 // ---- runtime (compiled out alongside the hooks) ---------------------------
 #if GBO_TRACE
+
+Tensor random_tensor(std::vector<std::size_t> shape, std::uint64_t seed) {
+  Rng rng(seed);
+  Tensor t(std::move(shape));
+  ops::fill_uniform(t, rng, -1.0f, 1.0f);
+  return t;
+}
+
+data::Dataset random_dataset(std::size_t n, std::size_t features,
+                             std::uint64_t seed) {
+  data::Dataset ds;
+  ds.images = random_tensor({n, features}, seed);
+  ds.labels.assign(n, 0);
+  return ds;
+}
 
 struct TraceGuard {
   TraceGuard() { obs::set_runtime_enabled(true); }
@@ -385,6 +389,71 @@ TEST(TraceServe, SloRunFingerprintMatchesPlanOracle) {
             serve::expected_causal_event_count(plan));
   EXPECT_EQ(obs::causal_event_count(snap4.events),
             serve::expected_causal_event_count(plan));
+}
+
+TEST(TraceServe, PulseMvmSpansAreTimingOnly) {
+  // The pulse-level crossbar sweep carries a kernel span with its work in
+  // arg; being timing-class, it changes neither the causal fingerprint nor
+  // a payload bit, whether tracing is on or off.
+  TraceGuard tg;
+  ThreadGuard guard;
+  ThreadPool::instance().set_num_threads(4);
+  models::MlpConfig mcfg;
+  mcfg.in_features = 12;
+  mcfg.hidden = {16, 16};  // fc2 is crossbar-encoded
+  mcfg.num_classes = 4;
+  models::Mlp model = models::build_mlp(mcfg);
+  model.net->set_training(false);
+  data::Dataset ds = random_dataset(16, 12, 43);
+  xbar::HwDeployConfig hw_cfg;
+  hw_cfg.sigma = 0.5;
+  hw_cfg.device.read_noise_sigma = 0.05;
+  xbar::HardwareNetwork hw(*model.net, model.encoded, hw_cfg);
+  serve::PulseBackend pulse(hw);
+
+  serve::TrafficConfig tcfg;
+  tcfg.num_requests = 40;
+  tcfg.rate_rps = 4000.0;
+  tcfg.seed = 5;
+  const auto trace = serve::make_trace(tcfg, ds.size());
+  serve::ServeConfig cfg;
+  cfg.batch.max_batch = 8;
+  cfg.batch.max_wait_us = 200;
+  cfg.seed = 17;
+  cfg.num_workers = 4;
+  serve::InferenceServer server(
+      serve::ServerSpec{}.primary(pulse).dataset(ds).config(cfg));
+
+  obs::begin_session();
+  const serve::ServeReport on = server.run(trace);
+  const obs::TraceSnapshot snap = obs::end_session();
+  obs::set_runtime_enabled(false);
+  obs::begin_session();
+  const serve::ServeReport off = server.run(trace);
+  const obs::TraceSnapshot quiet = obs::end_session();
+  obs::set_runtime_enabled(true);
+
+  EXPECT_FALSE(obs::is_causal(obs::EventType::kPulseMvm));
+  std::size_t spans = 0;
+  for (const obs::Event& e : snap.events) {
+    if (e.type != static_cast<std::uint8_t>(obs::EventType::kPulseMvm))
+      continue;
+    ++spans;
+    // id = rows, a = pulses, arg = rows · outputs · in · pulses (fc2 is
+    // 16 → 16 at the default 8 pulses).
+    EXPECT_EQ(e.a, 8u);
+    EXPECT_EQ(e.arg, e.id * 16 * 16 * e.a);
+  }
+  EXPECT_GT(spans, 0u);
+  EXPECT_TRUE(obs::trace_summary(snap).at("kernels").contains("pulse_mvm"));
+  EXPECT_EQ(quiet.events.size(), 0u);
+
+  const serve::Plan plan = serve::plan(trace, cfg.slo, cfg.batch);
+  EXPECT_EQ(obs::causal_fingerprint(snap.events),
+            serve::expected_causal_fingerprint(plan));
+  ASSERT_EQ(on.outputs.shape(), off.outputs.shape());
+  for (std::size_t i = 0; i < on.outputs.numel(); ++i)
+    ASSERT_EQ(on.outputs[i], off.outputs[i]) << "i=" << i;
 }
 
 TEST(TraceServe, SteadyStateEmissionDoesNotMintRings) {

@@ -123,8 +123,9 @@ TEST(MixedLayerState, LatencyGradFavorsShortCandidates) {
     if (cfg.candidates[k].pulses() < cfg.candidates[shortest].pulses())
       shortest = k;
   for (std::size_t k = 0; k < cfg.candidates.size(); ++k) {
-    if (k != shortest)
+    if (k != shortest) {
       EXPECT_LE(st.lambda().grad[shortest], st.lambda().grad[k]);
+    }
   }
 }
 

@@ -333,13 +333,47 @@ TEST(ApplySwap, SeededFaultyCandidateRollsBackThroughBreaker) {
   // Post-verdict admissions pin to the incumbent; only the canary window
   // on the canary replica ever saw the candidate.
   for (std::size_t i = 0; i < trace.size(); ++i) {
-    if (trace[i].t_us >= sw.verdict_us) EXPECT_EQ(sw.version_of[i], 1u);
+    if (trace[i].t_us >= sw.verdict_us) {
+      EXPECT_EQ(sw.version_of[i], 1u);
+    }
     if (sw.version_of[i] == 2u) {
       EXPECT_EQ(rp.assignment[i], sw.canary_replica);
       EXPECT_GE(trace[i].t_us, sw.start_us);
       EXPECT_LT(trace[i].t_us, sw.verdict_us);
     }
   }
+}
+
+TEST(ApplySwap, NoCanaryEvidenceRollsBackAtStart) {
+  // A swap that starts after the last arrival evaluates no canary request:
+  // with no evidence the candidate must not reach the fleet, however bad
+  // (here: failing every request) it would have looked.
+  SwapFixture f;
+  const auto trace = serve::make_trace(flash_traffic(), f.ds.size());
+  ASSERT_EQ(trace.size(), 220u);
+  const serve::ServeConfig cfg = fleet_config();
+  serve::RouterPolicy router;
+  serve::SwapPolicy sp = mid_trace_swap(1, 2);
+  sp.start_us = trace.back().t_us + 1;
+  sp.candidate_fault.enabled = true;
+  sp.candidate_fault.transient_rate = 1.0;
+
+  serve::Plan rp = serve::route_plan(trace, cfg.slo, cfg.batch, router, 3);
+  const serve::SwapPlan sw = serve::apply_swap(rp, trace, sp);
+
+  EXPECT_EQ(sw.canary_served, 0u);
+  EXPECT_EQ(sw.canary_faults, 0u);
+  EXPECT_TRUE(sw.rolled_back);
+  EXPECT_EQ(sw.verdict_us, sp.start_us);
+  // Canary forward and straight back at start_us; no other replica moves.
+  ASSERT_EQ(sw.cutovers.size(), 2u);
+  EXPECT_EQ(sw.cutovers[0].version, 2u);
+  EXPECT_EQ(sw.cutovers[1].replica, sw.canary_replica);
+  EXPECT_EQ(sw.cutovers[1].version, 1u);
+  EXPECT_EQ(sw.cutovers[1].at_us, sp.start_us);
+  for (std::size_t i = 0; i < trace.size(); ++i)
+    EXPECT_EQ(sw.version_of[i], 1u) << i;
+  EXPECT_EQ(rp.counters.served_canary, 0u);
 }
 
 TEST(ApplySwap, RejectsAnUnroutedPlan) {

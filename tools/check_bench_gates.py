@@ -138,6 +138,10 @@ SECTION_GATES = {
     "eval_trials": ["bitwise_match"],
     "pulse_mvm": ["bitwise_match"],
     "pulse_mvm_device_model": ["bitwise_match"],
+    "pulse_mvm_n6": ["bitwise_match"],
+    "pulse_mvm_n10": ["bitwise_match"],
+    "pulse_mvm_n14": ["bitwise_match"],
+    "pulse_mvm_fallback": ["bitwise_match", "fallback_taken"],
     "gemm_binary": ["bitwise_match", "repack_once", "encoder_match"],
     "activations": ["tanh_match"],
     "normals": ["normal_match"],

@@ -769,10 +769,15 @@ int main(int argc, char** argv) {
       cli.get_string("router-json", "BENCH_serve_router.json");
   const std::string swap_json_path =
       cli.get_string("swap-json", "BENCH_serve_swap.json");
-  const auto workers =
-      static_cast<std::size_t>(cli.get_int("workers", 4));
-  const auto requests = static_cast<std::size_t>(
-      cli.get_int("requests", smoke ? 240 : 2000));
+  const std::int64_t workers_arg = cli.get_int("workers", 4);
+  const std::int64_t requests_arg = cli.get_int("requests", smoke ? 240 : 2000);
+  if (workers_arg < 1 || requests_arg < 1) {
+    std::fprintf(stderr,
+                 "bench_serve: --workers and --requests must be at least 1\n");
+    return 2;
+  }
+  const auto workers = static_cast<std::size_t>(workers_arg);
+  const auto requests = static_cast<std::size_t>(requests_arg);
   const double rate = cli.get_double("rate", smoke ? 6000.0 : 10000.0);
   const std::string trace_out = cli.get_string("trace-out", "");
 

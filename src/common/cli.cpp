@@ -1,6 +1,7 @@
 #include "common/cli.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -123,10 +124,16 @@ std::int64_t CliParser::get_int(const std::string& name,
   auto raw = raw_value(name);
   if (!raw) return fallback;
   char* end = nullptr;
+  errno = 0;
   long long v = std::strtoll(raw->c_str(), &end, 10);
   if (end == raw->c_str() || *end != '\0') {
     throw std::invalid_argument(program_ + ": --" + name +
                                 " expects an integer, got '" + *raw + "'");
+  }
+  // strtoll clamps an overflowing value to LLONG_MIN/LLONG_MAX.
+  if (errno == ERANGE) {
+    throw std::invalid_argument(program_ + ": --" + name +
+                                " is out of range, got '" + *raw + "'");
   }
   return v;
 }

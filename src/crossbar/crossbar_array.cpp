@@ -1,7 +1,6 @@
 #include "crossbar/crossbar_array.hpp"
 
 #include "common/thread_pool.hpp"
-#include "crossbar/ir_solver.hpp"
 #include "obs/trace.hpp"
 
 #include <algorithm>
@@ -67,10 +66,6 @@ CrossbarArray::CrossbarArray(const Tensor& binary_weight, DeviceConfig cfg,
     if (cfg_.g_on <= cfg_.g_off)
       throw std::invalid_argument(
           "CrossbarArray: offset mapping requires g_on > g_off");
-    if (cfg_.wire_resistance > 0.0)
-      throw std::invalid_argument(
-          "CrossbarArray: the nodal IR solver supports differential mapping "
-          "only; use ir_drop_alpha with offset mapping");
     // One cell per weight plus one shared mid-conductance reference cell
     // per input line (the tile's reference column). Draw order: main array
     // row-major, then the reference cells — pinned so seeds reproduce.
@@ -87,18 +82,6 @@ CrossbarArray::CrossbarArray(const Tensor& binary_weight, DeviceConfig cfg,
     for (std::size_t j = 0; j < in_; ++j)
       ref_g_[j] = static_cast<float>(program_cell(cfg_, g_mid, rng));
 
-    // Fold wire parasitics into the programmed conductances. The offset
-    // path uses the per-cell attenuation model for both knobs (the nodal
-    // solver's superposition trick extracts a *differential* equivalent
-    // weight; for a single-polarity array the first-order per-cell factor
-    // is the appropriate granularity).
-    for (std::size_t j = 0; j < in_; ++j) {
-      const double ir = ir_drop_factor(cfg_, j % tile_cols_, tile_cols_);
-      ref_g_[j] = static_cast<float>(ref_g_[j] * ir);
-      for (std::size_t o = 0; o < out_; ++o)
-        raw_g_.at(o, j) = static_cast<float>(raw_g_.at(o, j) * ir);
-    }
-
     // Sign-domain equivalent weight: (G − G_ref) · 2/(g_on − g_off).
     const double k = 2.0 / (cfg_.g_on - cfg_.g_off);
     for (std::size_t o = 0; o < out_; ++o)
@@ -109,50 +92,18 @@ CrossbarArray::CrossbarArray(const Tensor& binary_weight, DeviceConfig cfg,
     return;
   }
 
-  // Differential mapping: program both polarity arrays cell-by-cell
+  // Differential mapping: program both polarity cells of each weight
   // (device-to-device variation, faults, drift are frozen here, as on real
-  // hardware).
-  Tensor g_plus({out_, in_}), g_minus({out_, in_});
+  // hardware); the equivalent weight is G+ − G−.
   for (std::size_t o = 0; o < out_; ++o) {
     for (std::size_t j = 0; j < in_; ++j) {
       const bool positive = binary_weight.at(o, j) >= 0.0f;
-      g_plus.at(o, j) = static_cast<float>(
+      const auto g_plus = static_cast<float>(
           program_cell(cfg_, positive ? cfg_.g_on : cfg_.g_off, rng));
-      g_minus.at(o, j) = static_cast<float>(
+      const auto g_minus = static_cast<float>(
           program_cell(cfg_, positive ? cfg_.g_off : cfg_.g_on, rng));
-    }
-  }
-
-  if (cfg_.wire_resistance > 0.0) {
-    // Exact wire-parasitic model: solve the resistive network per tile and
-    // fold the result into the equivalent weight (see crossbar/ir_solver).
-    IrSolverConfig ir_cfg;
-    ir_cfg.r_wire = cfg_.wire_resistance;
-    for (std::size_t t = 0; t < num_tiles_; ++t) {
-      const std::size_t j0 = t * tile_cols_;
-      const std::size_t j1 = std::min(j0 + tile_cols_, in_);
-      const std::size_t width = j1 - j0;
-      // Physical layout: driven word lines = the fan-in slice (rows of the
-      // solver), collecting bit lines = the outputs (cols of the solver).
-      Tensor gp({width, out_}), gm({width, out_});
-      for (std::size_t j = j0; j < j1; ++j) {
-        for (std::size_t o = 0; o < out_; ++o) {
-          gp.at(j - j0, o) = g_plus.at(o, j);
-          gm.at(j - j0, o) = g_minus.at(o, j);
-        }
-      }
-      const Tensor eff_tile = ir_equivalent_weight(gp, gm, ir_cfg);  // [out, width]
-      for (std::size_t o = 0; o < out_; ++o)
-        for (std::size_t j = j0; j < j1; ++j)
-          eff_weight_.at(o, j) = eff_tile.at(o, j - j0);
-    }
-  } else {
-    for (std::size_t o = 0; o < out_; ++o) {
-      for (std::size_t j = 0; j < in_; ++j) {
-        const double ir = ir_drop_factor(cfg_, j % tile_cols_, tile_cols_);
-        eff_weight_.at(o, j) = static_cast<float>(
-            (static_cast<double>(g_plus.at(o, j)) - g_minus.at(o, j)) * ir);
-      }
+      eff_weight_.at(o, j) =
+          static_cast<float>(static_cast<double>(g_plus) - g_minus);
     }
   }
   certify_exact_tile_sums();

@@ -106,8 +106,8 @@ class CrossbarArray {
 
   /// The effective (post-programming) weight the array realizes in the
   /// sign domain: (G+ − G−) for differential mapping, (G − G_ref) ·
-  /// 2/(g_on − g_off) for offset mapping, with IR-drop folded in. Equals
-  /// sign(W) for ideal devices under either mapping.
+  /// 2/(g_on − g_off) for offset mapping. Equals sign(W) for ideal devices
+  /// under either mapping.
   const Tensor& effective_weight() const { return eff_weight_; }
 
   /// The digital scale s recovered from the programmed matrix.

@@ -52,8 +52,7 @@ class LayerNoiseController {
   /// Used by the network-level thermometer-vs-bit-slicing comparison.
   void set_scheme(enc::Scheme scheme);
 
-  /// Sets a heterogeneous per-layer (scheme × pulse count) assignment —
-  /// the mixed selections produced by gbo::opt scheme search.
+  /// Sets a heterogeneous per-layer (scheme × pulse count) assignment.
   void set_specs(const std::vector<enc::EncodingSpec>& specs);
 
   /// Current per-layer pulse counts.

@@ -47,10 +47,4 @@ double adc_quantize(const DeviceConfig& cfg, double current, double full_scale) 
   return code / levels * 2.0 * fs - fs;
 }
 
-double ir_drop_factor(const DeviceConfig& cfg, std::size_t j, std::size_t cols) {
-  if (cfg.ir_drop_alpha <= 0.0 || cols <= 1) return 1.0;
-  const double frac = static_cast<double>(j) / static_cast<double>(cols - 1);
-  return 1.0 - cfg.ir_drop_alpha * frac;
-}
-
 }  // namespace gbo::xbar

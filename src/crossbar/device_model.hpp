@@ -1,21 +1,20 @@
 // Device/circuit-level non-ideality model for the binary crossbar.
 //
 // The paper abstracts all of this into output Gaussian noise (Eq. 1); this
-// module provides the richer physical model used by the extension studies
-// and by the pulse-level engine when configured:
+// module provides the richer physical model used by the pulse-level engine
+// when configured:
 //   * programming variation: each cell's conductance deviates
 //     log-normally from its nominal on/off level (device-to-device);
 //   * stuck-at faults: a fraction of cells is frozen at on or off;
 //   * read noise: per-read Gaussian current noise (cycle-to-cycle);
 //   * ADC: uniform quantization of the column current to `adc_bits`
 //     over a configurable full-scale range;
-//   * IR drop proxy: linear attenuation of a cell's contribution with its
-//     column index, modeling wire resistance accumulating along a row.
+//   * retention drift (see crossbar/drift.hpp).
 #pragma once
 
 #include "common/rng.hpp"
 
-#include <cstddef>
+#include <cstdint>
 
 namespace gbo::xbar {
 
@@ -40,13 +39,6 @@ struct DeviceConfig {
   double read_noise_sigma = 0.0; // per-read Gaussian current noise per column
   int adc_bits = 0;              // 0 = ideal (no ADC quantization)
   double adc_full_scale = 0.0;   // symmetric range [-fs, fs]; 0 = auto (rows)
-  double ir_drop_alpha = 0.0;    // relative attenuation at the far column end
-
-  // Nodal IR-drop model (crossbar/ir_solver.hpp): wire segment resistance
-  // in units of 1/g_on. When > 0 the array's effective weight is computed
-  // by the Gauss–Seidel network solver at programming time (expensive but
-  // exact for the linear network) and the ir_drop_alpha proxy is ignored.
-  double wire_resistance = 0.0;
 
   // Retention drift (see crossbar/drift.hpp): each cell's conductance
   // decays as (t/t0)^(-ν) with a per-cell ν ~ N(nu, nu_sigma) sampled at
@@ -65,7 +57,6 @@ struct DeviceConfig {
   bool ideal() const {
     return program_variation == 0.0 && stuck_on_rate == 0.0 &&
            stuck_off_rate == 0.0 && read_noise_sigma == 0.0 && adc_bits == 0 &&
-           ir_drop_alpha == 0.0 && wire_resistance == 0.0 &&
            !(drift_enabled() && drift_time > 0.0);
   }
 };
@@ -76,8 +67,5 @@ double program_cell(const DeviceConfig& cfg, double nominal, Rng& rng);
 
 /// Applies ADC quantization to a column current.
 double adc_quantize(const DeviceConfig& cfg, double current, double full_scale);
-
-/// IR-drop attenuation factor for column j of `cols`.
-double ir_drop_factor(const DeviceConfig& cfg, std::size_t j, std::size_t cols);
 
 }  // namespace gbo::xbar

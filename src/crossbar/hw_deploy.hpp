@@ -12,7 +12,7 @@
 //
 // Use cases: validating the analytic pipeline against the physical
 // simulation, and extension studies under non-idealities the Eq. 1 model
-// does not capture (stuck cells, ADC clipping, IR drop).
+// does not capture (stuck cells, ADC clipping, drift).
 #pragma once
 
 #include "crossbar/mvm_engine.hpp"

@@ -5,65 +5,6 @@
 
 namespace gbo::xbar {
 
-namespace {
-
-std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
-
-}  // namespace
-
-LayerMapping map_layer(const std::string& name, std::size_t fan_in,
-                       std::size_t fan_out, std::size_t mvms, TileShape tile) {
-  if (fan_in == 0 || fan_out == 0) {
-    throw std::invalid_argument("map_layer(" + name +
-                                "): zero-sized weight matrix");
-  }
-  if (tile.rows == 0 || tile.cols == 0) {
-    throw std::invalid_argument("map_layer(" + name + "): zero-sized tile");
-  }
-  if (mvms == 0) {
-    throw std::invalid_argument("map_layer(" + name + "): zero MVM count");
-  }
-  LayerMapping m;
-  m.name = name;
-  m.fan_in = fan_in;
-  m.fan_out = fan_out;
-  m.mvms = mvms;
-  m.row_tiles = ceil_div(fan_in, tile.rows);
-  m.col_tiles = ceil_div(fan_out, tile.cols);
-  m.tiles = m.row_tiles * m.col_tiles;
-  m.utilization = static_cast<double>(m.occupied_cells()) /
-                  (static_cast<double>(m.tiles) * tile.cells());
-  return m;
-}
-
-std::size_t NetworkMapping::total_tiles() const {
-  std::size_t n = 0;
-  for (const auto& l : layers) n += l.tiles;
-  return n;
-}
-
-std::size_t NetworkMapping::total_occupied_cells() const {
-  std::size_t n = 0;
-  for (const auto& l : layers) n += l.occupied_cells();
-  return n;
-}
-
-std::size_t NetworkMapping::total_allocated_cells() const {
-  return total_tiles() * tile.cells();
-}
-
-double NetworkMapping::overall_utilization() const {
-  const std::size_t alloc = total_allocated_cells();
-  if (alloc == 0) return 0.0;
-  return static_cast<double>(total_occupied_cells()) /
-         static_cast<double>(alloc);
-}
-
-double NetworkMapping::area_proxy(double peripheral_cells_per_tile) const {
-  return static_cast<double>(total_tiles()) *
-         (static_cast<double>(tile.cells()) + peripheral_cells_per_tile);
-}
-
 std::vector<std::pair<std::size_t, std::size_t>> column_shards(
     std::size_t fan_out, TileShape tile) {
   if (fan_out == 0)
@@ -75,30 +16,6 @@ std::vector<std::pair<std::size_t, std::size_t>> column_shards(
   for (std::size_t o0 = 0; o0 < fan_out; o0 += width)
     shards.emplace_back(o0, std::min(o0 + width, fan_out));
   return shards;
-}
-
-NetworkMapping map_network(const std::vector<quant::Hookable*>& layers,
-                           const std::vector<std::string>& names,
-                           const std::vector<std::size_t>& spatial_mvms,
-                           TileShape tile) {
-  if (layers.size() != names.size()) {
-    throw std::invalid_argument("map_network: names/layers size mismatch");
-  }
-  if (!spatial_mvms.empty() && spatial_mvms.size() != layers.size()) {
-    throw std::invalid_argument("map_network: spatial_mvms size mismatch");
-  }
-  NetworkMapping net;
-  net.tile = tile;
-  net.layers.reserve(layers.size());
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    const std::size_t mvms = spatial_mvms.empty() ? 1 : spatial_mvms[i];
-    // Hookable reports crossbar_rows() = fan-out, crossbar_cols() = fan-in
-    // (out × in weight matrix); the mapper's tile axes are physical
-    // (fan-in on word lines), hence the swap here.
-    net.layers.push_back(map_layer(names[i], layers[i]->crossbar_cols(),
-                                   layers[i]->crossbar_rows(), mvms, tile));
-  }
-  return net;
 }
 
 }  // namespace gbo::xbar

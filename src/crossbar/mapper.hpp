@@ -1,19 +1,11 @@
-// Network-to-hardware tile mapper.
+// Tile geometry and the output-axis shard ranges of the sharded MVM path.
 //
 // A crossbar chip is organized as a grid of fixed-size tiles (e.g. 128×128
-// differential cell pairs), each with its own input drivers (DACs) and a
-// column-shared set of ADCs. Mapping a binary weight matrix W ∈ {±s}^{out×in}
-// onto the chip splits it along both axes:
-//   * input axis  (fan-in, crossbar *word lines*): ceil(in / tile_rows)
-//     row-tiles whose partial currents are summed digitally;
-//   * output axis (crossbar *bit lines*): ceil(out / tile_cols) column-tiles.
-//
-// The mapper computes, per layer and per network: the tile grid, cell
-// utilization (occupied / allocated), the peripheral inventory (drivers,
-// ADC conversions per inference), and a normalized area proxy. The energy
-// model (crossbar/energy_model.hpp) consumes these reports to cost a pulse
-// schedule; the tile counts also bound how much device-to-device variation
-// a layer integrates per output (one partial sum per row-tile).
+// differential cell pairs). A binary weight matrix W ∈ {±s}^{out×in} splits
+// along both axes: the input axis (fan-in, crossbar *word lines*) into
+// row-tiles whose partial currents are summed digitally, and the output
+// axis (crossbar *bit lines*) into column-tiles, which column_shards turns
+// into the shard ranges of one programmed array.
 //
 // Note the axis convention: this repo stores layer weights as [out, in] and
 // streams activations along `in`; on hardware the activation axis is the
@@ -22,10 +14,7 @@
 // `tile_cols`. TileShape names the axes physically to keep this readable.
 #pragma once
 
-#include "quant/quant_layers.hpp"
-
 #include <cstddef>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -35,47 +24,7 @@ namespace gbo::xbar {
 struct TileShape {
   std::size_t rows = 128;  // word lines: fan-in axis
   std::size_t cols = 128;  // bit lines: output axis
-
-  std::size_t cells() const { return rows * cols; }
 };
-
-/// Mapping of one layer onto the tile grid.
-struct LayerMapping {
-  std::string name;          // e.g. "conv3"
-  std::size_t fan_in = 0;    // MVM inner dimension (activation axis)
-  std::size_t fan_out = 0;   // MVM outer dimension
-  std::size_t mvms = 0;      // MVM invocations per inference (conv: H*W posns)
-  std::size_t row_tiles = 0; // tiles along the fan-in axis
-  std::size_t col_tiles = 0; // tiles along the output axis
-  std::size_t tiles = 0;     // row_tiles * col_tiles
-  double utilization = 0.0;  // occupied cells / allocated cells, in (0, 1]
-
-  std::size_t occupied_cells() const { return fan_in * fan_out; }
-};
-
-/// Mapping of a whole network.
-struct NetworkMapping {
-  TileShape tile;
-  std::vector<LayerMapping> layers;
-
-  std::size_t total_tiles() const;
-  std::size_t total_occupied_cells() const;
-  std::size_t total_allocated_cells() const;
-  double overall_utilization() const;  // occupied / allocated across layers
-
-  /// Normalized area proxy: allocated tiles × (tile cell count + peripheral
-  /// overhead as an equivalent cell count). `peripheral_cells_per_tile`
-  /// models drivers + ADC share + local buffers; the ISAAC floorplan puts
-  /// peripherals at roughly 1–3× the array area, so the default is 2× cells.
-  double area_proxy(double peripheral_cells_per_tile = 2.0 * 128 * 128) const;
-};
-
-/// Maps a single [out, in] weight matrix; `mvms` is the number of MVM
-/// invocations one inference issues through this matrix (1 for a linear
-/// layer, output H*W for a conv patch matrix). Throws std::invalid_argument
-/// on zero-sized dimensions.
-LayerMapping map_layer(const std::string& name, std::size_t fan_in,
-                       std::size_t fan_out, std::size_t mvms, TileShape tile);
 
 /// Output-axis (bit-line) shard ranges of a mapped layer: one contiguous
 /// [begin, end) range per column-tile of `tile`, ascending, covering
@@ -87,14 +36,5 @@ LayerMapping map_layer(const std::string& name, std::size_t fan_in,
 /// std::invalid_argument on fan_out == 0.
 std::vector<std::pair<std::size_t, std::size_t>> column_shards(
     std::size_t fan_out, TileShape tile);
-
-/// Maps every crossbar-encoded layer of a network. `names` must parallel
-/// `layers` (the model builders provide both). `spatial_mvms[i]` is the
-/// per-inference MVM count of layer i; pass empty to default to 1 each
-/// (pure-linear network).
-NetworkMapping map_network(const std::vector<quant::Hookable*>& layers,
-                           const std::vector<std::string>& names,
-                           const std::vector<std::size_t>& spatial_mvms,
-                           TileShape tile);
 
 }  // namespace gbo::xbar

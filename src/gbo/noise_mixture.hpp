@@ -1,7 +1,7 @@
-// The Eq. 5 per-layer noise mixture shared by GBO (gbo.hpp), its
-// Gumbel-softmax ablation (gumbel.hpp) and the mixed-scheme search
-// (scheme_search.hpp): one ε_k ~ N(0, std_k²) sample per scheme k over the
-// MVM output, kept for the λ gradient c_k = <∂L/∂o, ε_k> (Eq. 7).
+// The Eq. 5 per-layer noise mixture shared by GBO (gbo.hpp) and its
+// Gumbel-softmax ablation (gumbel.hpp): one ε_k ~ N(0, std_k²) sample per
+// scheme k over the MVM output, kept for the λ gradient
+// c_k = <∂L/∂o, ε_k> (Eq. 7).
 #pragma once
 
 #include "common/rng.hpp"

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 namespace gbo {
@@ -104,7 +105,25 @@ TEST(Cli, MalformedNumberThrows) {
   EXPECT_THROW(cli2.get_int("epochs", 0), std::invalid_argument);
 }
 
-TEST(Cli, LastValueWinsOnRepeat) {
+TEST(Cli, OverflowingIntegerThrows) {
+  // strtoll clamps these to LLONG_MAX/LLONG_MIN; the parser must not.
+  for (const char* arg : {"--epochs=9223372036854775808",
+                          "--epochs=-9223372036854775809",
+                          "--epochs=99999999999999999999999"}) {
+    CliParser cli = make_parser();
+    ASSERT_TRUE(parse(cli, {arg}));
+    EXPECT_THROW(cli.get_int("epochs", 0), std::invalid_argument) << arg;
+  }
+  // The extremes themselves are in range.
+  CliParser cli = make_parser();
+  ASSERT_TRUE(parse(cli, {"--epochs=9223372036854775807"}));
+  EXPECT_EQ(cli.get_int("epochs", 0), INT64_MAX);
+  CliParser cli2 = make_parser();
+  ASSERT_TRUE(parse(cli2, {"--epochs=-9223372036854775808"}));
+  EXPECT_EQ(cli2.get_int("epochs", 0), INT64_MIN);
+}
+
+TEST(Cli, FirstValueWinsOnRepeat) {
   CliParser cli = make_parser();
   ASSERT_TRUE(parse(cli, {"--sigma=1", "--sigma=2"}));
   // raw_value returns the first match; define the contract as first-wins.

@@ -78,14 +78,6 @@ TEST(DeviceModel, AdcDisabledPassesThrough) {
   EXPECT_DOUBLE_EQ(adc_quantize(cfg, 3.14159, 8.0), 3.14159);
 }
 
-TEST(DeviceModel, IrDropAttenuatesFarColumns) {
-  DeviceConfig cfg;
-  cfg.ir_drop_alpha = 0.2;
-  EXPECT_DOUBLE_EQ(ir_drop_factor(cfg, 0, 100), 1.0);
-  EXPECT_NEAR(ir_drop_factor(cfg, 99, 100), 0.8, 1e-12);
-  EXPECT_GT(ir_drop_factor(cfg, 10, 100), ir_drop_factor(cfg, 90, 100));
-}
-
 TEST(CrossbarArray, IdealMvmEqualsSignMatmul) {
   const Tensor w = random_binary_weight(6, 10, 1.0f, 7);
   Rng rng(8);

@@ -6,7 +6,6 @@
 #include "core/pipeline.hpp"
 #include "crossbar/crossbar_layers.hpp"
 #include "data/synth_cifar.hpp"
-#include "gbo/scheme_search.hpp"
 #include "models/mlp.hpp"
 #include "models/resnet.hpp"
 #include "models/vgg9.hpp"
@@ -265,7 +264,7 @@ TEST(EvalContext, CrossbarDeviceModelBitwiseAcrossThreads) {
   }
 }
 
-// ---- scheme-search selection evaluation ----------------------------------
+// ---- mixed per-layer specs ------------------------------------------------
 
 TEST(EvalContext, EvaluateSelectionBitwiseAcrossThreads) {
   ThreadGuard guard;
@@ -278,11 +277,11 @@ TEST(EvalContext, EvaluateSelectionBitwiseAcrossThreads) {
   data::Dataset test = random_dataset(60, 16, 4, 17);
 
   // Mixed per-layer selection: thermometer and bit-sliced codes.
-  std::vector<opt::SchemeCandidate> sel(m.encoded.size());
-  for (std::size_t l = 0; l < sel.size(); ++l) {
-    sel[l].spec.scheme =
+  std::vector<enc::EncodingSpec> specs(m.encoded.size());
+  for (std::size_t l = 0; l < specs.size(); ++l) {
+    specs[l].scheme =
         l % 2 == 0 ? enc::Scheme::kThermometer : enc::Scheme::kBitSlicing;
-    sel[l].spec.num_pulses = l % 2 == 0 ? 8 : 3;
+    specs[l].num_pulses = l % 2 == 0 ? 8 : 3;
   }
 
   auto run = [&](std::size_t threads) {
@@ -291,7 +290,8 @@ TEST(EvalContext, EvaluateSelectionBitwiseAcrossThreads) {
     xbar::LayerNoiseController ctrl(m.encoded, 1.5, m.base_pulses(), rng);
     ctrl.attach();
     ctrl.set_enabled_all(true);
-    const float acc = opt::evaluate_selection(*m.net, ctrl, sel, test, 4, 16);
+    ctrl.set_specs(specs);
+    const float acc = core::evaluate_noisy(*m.net, ctrl, test, 4, 16);
     ctrl.detach();
     return acc;
   };

@@ -9,7 +9,7 @@
 // GBO exploits — including whether the 1×1 projection convs (tiny fan-in,
 // shortcut-critical) want longer or shorter codes than the 3×3 mains.
 //
-// This workload leans hardest on the blocked GEMM + threaded im2col layer;
+// This workload leans hardest on the blocked GEMM and its conv gathers;
 // set GBO_NUM_THREADS to control the thread pool (results are bitwise
 // identical at any thread count).
 #include "common/logging.hpp"

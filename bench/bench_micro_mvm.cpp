@@ -33,6 +33,8 @@
 #include "tensor/im2col.hpp"
 #include "tensor/ops.hpp"
 
+#include "../tests/conv_reference.hpp"
+
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -80,8 +82,9 @@ void BM_Im2col(benchmark::State& state) {
   const auto s = static_cast<std::size_t>(state.range(0));
   ConvGeom g{.in_c = 16, .in_h = s, .in_w = s, .k = 3, .stride = 1, .pad = 1};
   const Tensor x = random_tensor({8, 16, s, s}, 3);
+  Tensor cols({8 * g.out_h() * g.out_w(), g.patch_len()});
   for (auto _ : state) {
-    Tensor cols = im2col(x, g);
+    im2col_into(x, g, cols.data());
     benchmark::DoNotOptimize(cols.data());
   }
 }
@@ -189,7 +192,7 @@ struct HarnessConfig {
   std::size_t bin_out = 512, bin_in = 512, bin_batch = 16;
   std::size_t pulse_out = 64, pulse_in = 256, pulse_batch = 16, pulses = 8;
   std::size_t eval_samples = 2048, eval_trials = 16;  // noisy-eval throughput
-  // conv_direct section: a VGG9-style 3×3 stride-1 layer.
+  // conv_direct section: a VGG9-style 3×3 stride-1 layer's training step.
   std::size_t conv_in_c = 32, conv_hw = 32, conv_out_c = 64, conv_batch = 8;
   std::size_t act_n = 1 << 20;     // activations section: QuantTanh inputs
   std::size_t normal_n = 1 << 20;  // normals section: floats per fill
@@ -357,9 +360,11 @@ Json bench_gemm_prepacked(const HarnessConfig& hc, std::size_t pool_threads,
   return out;
 }
 
-/// Direct 3×3 stride-1 convolution vs the im2col route on a VGG9-style
-/// layer, with the bitwise gate (infer dispatches the direct kernel;
-/// forward runs im2col + GEMM; the NCHW outputs must agree exactly).
+/// One conv training step (forward + backward) on a VGG9-style 3×3
+/// stride-1 layer: the fused padded-gather lowering against the im2col →
+/// GEMM → col2im reference route (tests/conv_reference.hpp), with the
+/// bitwise gate over y, dX, dW and the bias grad at 1 thread and at the
+/// pool width, and the fused/reference time ratio.
 Json bench_conv_direct(const HarnessConfig& hc, std::size_t pool_threads,
                        bool* gate_ok) {
   using namespace gbo::nn;
@@ -367,47 +372,67 @@ Json bench_conv_direct(const HarnessConfig& hc, std::size_t pool_threads,
              .k = 3, .stride = 1, .pad = 1};
   Rng rng(77);
   Conv2d conv(hc.conv_out_c, g, /*bias=*/true, rng);
+  Param& bias = *conv.params()[1];
+  bias.value = random_tensor({hc.conv_out_c}, 79);
   const Tensor x =
       random_tensor({hc.conv_batch, g.in_c, g.in_h, g.in_w}, 78);
+  const Tensor grad = random_tensor(
+      {hc.conv_batch, hc.conv_out_c, g.out_h(), g.out_w()}, 80);
   const std::size_t m = hc.conv_batch * g.out_h() * g.out_w();
-  const std::size_t flops = 2 * m * hc.conv_out_c * g.patch_len();
+  // Forward, wgrad and dgrad: three m × out_c × patch_len products.
+  const std::size_t flops = 3 * 2 * m * hc.conv_out_c * g.patch_len();
   ThreadPool& pool = ThreadPool::instance();
-  EvalContext ctx;
 
-  if (!conv.direct_conv_eligible(m)) {
-    std::fprintf(stderr,
-                 "conv_direct GATE FAILURE: bench shape does not dispatch "
-                 "the direct kernel\n");
-    *gate_ok = false;
-  }
+  auto fused = [&] {
+    Tensor y = conv.forward(x);
+    Tensor dx = conv.backward(grad);
+    benchmark::DoNotOptimize(dx.data());
+  };
+  auto reference = [&] {
+    conv_ref::Step s =
+        conv_ref::train_step(x, conv.weight().value, &bias.value, grad, g);
+    benchmark::DoNotOptimize(s.dx.data());
+  };
 
   bool match = true;
   auto check = [&](const char* when) {
-    Tensor y_direct = conv.infer(x, ctx);
-    Tensor y_im2col = conv.forward(x);
-    if (y_direct.shape() != y_im2col.shape() ||
-        std::memcmp(y_direct.data(), y_im2col.data(),
-                    y_direct.numel() * sizeof(float)) != 0) {
-      std::fprintf(stderr,
-                   "conv_direct GATE FAILURE: direct kernel diverged from "
-                   "the im2col route bitwise (%s)\n", when);
-      match = false;
-      *gate_ok = false;
+    const conv_ref::Step want =
+        conv_ref::train_step(x, conv.weight().value, &bias.value, grad, g);
+    conv.weight().zero_grad();
+    bias.zero_grad();
+    const Tensor y = conv.forward(x);
+    const Tensor dx = conv.backward(grad);
+    // The layer adds its gradients into zeroed accumulators.
+    Tensor want_dw(want.dw.shape()), want_db(want.db.shape());
+    ops::add_inplace(want_dw, want.dw);
+    ops::add_inplace(want_db, want.db);
+    const std::pair<const Tensor*, const Tensor*> pairs[] = {
+        {&y, &want.y},
+        {&dx, &want.dx},
+        {&conv.weight().grad, &want_dw},
+        {&bias.grad, &want_db}};
+    for (const auto& [got, ref] : pairs) {
+      if (got->shape() != ref->shape() ||
+          std::memcmp(got->data(), ref->data(),
+                      got->numel() * sizeof(float)) != 0) {
+        std::fprintf(stderr,
+                     "conv_direct GATE FAILURE: fused conv training step "
+                     "diverged from the im2col route bitwise (%s)\n", when);
+        match = false;
+        *gate_ok = false;
+        return;
+      }
     }
   };
 
   pool.set_num_threads(1);
   check("1 thread");
-  const double t_im2col_1t =
-      time_best(hc.reps, [&] { (void)conv.forward(x); });
-  const double t_direct_1t =
-      time_best(hc.reps, [&] { (void)conv.infer(x, ctx); });
+  const double t_reference_1t = time_best(hc.reps, reference);
+  const double t_fused_1t = time_best(hc.reps, fused);
   pool.set_num_threads(pool_threads);
   check("pool threads");
-  const double t_im2col_mt =
-      time_best(hc.reps, [&] { (void)conv.forward(x); });
-  const double t_direct_mt =
-      time_best(hc.reps, [&] { (void)conv.infer(x, ctx); });
+  const double t_reference_mt = time_best(hc.reps, reference);
+  const double t_fused_mt = time_best(hc.reps, fused);
 
   Json out = Json::object();
   out.set("batch", hc.conv_batch);
@@ -415,16 +440,16 @@ Json bench_conv_direct(const HarnessConfig& hc, std::size_t pool_threads,
   out.set("image", hc.conv_hw);
   out.set("out_c", hc.conv_out_c);
   out.set("bitwise_match", match);
-  out.set("im2col_1t_ms", t_im2col_1t * 1e3);
-  out.set("direct_1t_ms", t_direct_1t * 1e3);
-  out.set("im2col_mt_ms", t_im2col_mt * 1e3);
-  out.set("direct_mt_ms", t_direct_mt * 1e3);
-  out.set("gflops_im2col_1t", gflops(flops, t_im2col_1t));
-  out.set("gflops_direct_1t", gflops(flops, t_direct_1t));
-  out.set("gflops_im2col_mt", gflops(flops, t_im2col_mt));
-  out.set("gflops_direct_mt", gflops(flops, t_direct_mt));
-  out.set("speedup_direct_1t", t_im2col_1t / t_direct_1t);
-  out.set("speedup_direct_mt", t_im2col_mt / t_direct_mt);
+  out.set("reference_1t_ms", t_reference_1t * 1e3);
+  out.set("fused_1t_ms", t_fused_1t * 1e3);
+  out.set("reference_mt_ms", t_reference_mt * 1e3);
+  out.set("fused_mt_ms", t_fused_mt * 1e3);
+  out.set("gflops_reference_1t", gflops(flops, t_reference_1t));
+  out.set("gflops_fused_1t", gflops(flops, t_fused_1t));
+  out.set("gflops_reference_mt", gflops(flops, t_reference_mt));
+  out.set("gflops_fused_mt", gflops(flops, t_fused_mt));
+  out.set("fused_over_reference_1t", t_fused_1t / t_reference_1t);
+  out.set("fused_over_reference_mt", t_fused_mt / t_reference_mt);
   return out;
 }
 
@@ -955,8 +980,8 @@ int run_harness(const HarnessConfig& hc) {
   doc.set("gemm_prepacked", bench_gemm_prepacked(hc, pool_threads, &gate_ok));
   pool.set_num_threads(pool_threads);
 
-  std::printf("[conv direct] %zux%zux%zux%zu -> %zu channels (direct 3x3 vs "
-              "im2col, bitwise gate)...\n",
+  std::printf("[conv direct] %zux%zux%zux%zu -> %zu channels (fused conv "
+              "training step vs im2col route, bitwise gate)...\n",
               hc.conv_batch, hc.conv_in_c, hc.conv_hw, hc.conv_hw,
               hc.conv_out_c);
   doc.set("conv_direct", bench_conv_direct(hc, pool_threads, &gate_ok));

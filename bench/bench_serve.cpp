@@ -751,9 +751,12 @@ int main(int argc, char** argv) {
                  "BENCH_serve_router.json");
   cli.add_option("swap-json", "Hot-swap-scenario output JSON path",
                  "BENCH_serve_swap.json");
-  cli.add_option("requests", "Analytic-scenario trace length", "auto");
-  cli.add_option("rate", "Mean arrival rate, requests/s", "auto");
-  cli.add_option("workers", "Serving worker count", "4");
+  cli.add_option("requests", "Analytic-scenario trace length", "auto",
+                 CliParser::Value::kInt);
+  cli.add_option("rate", "Mean arrival rate, requests/s", "auto",
+                 CliParser::Value::kNumber);
+  cli.add_option("workers", "Serving worker count", "4",
+                 CliParser::Value::kInt);
   cli.add_option("trace-out",
                  "Chrome trace-event JSON path prefix; writes "
                  "<prefix><scenario>.json per scenario (empty disables)",

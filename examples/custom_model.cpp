@@ -24,9 +24,9 @@ int main(int argc, char** argv) {
   set_log_level(LogLevel::kWarn);
 
   CliParser cli("custom_model", "GBO on a user-defined residual network.");
-  cli.add_option("epochs", "Pretraining epochs", "8");
+  cli.add_option("epochs", "Pretraining epochs", "8", CliParser::Value::kInt);
   cli.add_option("sigma-scale", "Noise level as a multiple of the auto pick",
-                 "1.0");
+                 "1.0", CliParser::Value::kNumber);
   if (!cli.parse(argc, argv)) return cli.exit_code();
 
   // 1. Your architecture. Any module graph works as long as the encoded

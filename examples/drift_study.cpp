@@ -25,9 +25,11 @@ int main(int argc, char** argv) {
 
   CliParser cli("drift_study",
                 "Accuracy vs array age under conductance drift.");
-  cli.add_option("nu", "Mean drift exponent", "0.03");
-  cli.add_option("nu-sigma", "Device-to-device std of the exponent", "0.015");
-  cli.add_option("samples", "Dataset size", "400");
+  cli.add_option("nu", "Mean drift exponent", "0.03",
+                 CliParser::Value::kNumber);
+  cli.add_option("nu-sigma", "Device-to-device std of the exponent", "0.015",
+                 CliParser::Value::kNumber);
+  cli.add_option("samples", "Dataset size", "400", CliParser::Value::kInt);
   if (!cli.parse(argc, argv)) return cli.exit_code();
   const double nu = cli.get_double("nu", 0.03);
   const double nu_sigma = cli.get_double("nu-sigma", 0.015);

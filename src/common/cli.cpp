@@ -17,8 +17,8 @@ void CliParser::add_flag(const std::string& name, const std::string& help) {
 }
 
 void CliParser::add_option(const std::string& name, const std::string& help,
-                           const std::string& default_desc) {
-  specs_.push_back(Spec{name, help, default_desc, /*is_flag=*/false});
+                           const std::string& default_desc, Value type) {
+  specs_.push_back(Spec{name, help, default_desc, /*is_flag=*/false, type});
 }
 
 const CliParser::Spec* CliParser::find_spec(const std::string& name) const {
@@ -90,6 +90,19 @@ bool CliParser::parse(int argc, const char* const* argv) {
       exit_code_ = 2;
       return false;
     }
+    std::string error;
+    if (spec->type == Value::kInt) {
+      std::int64_t v;
+      error = int_error(name, value, &v);
+    } else if (spec->type == Value::kNumber) {
+      double v;
+      error = number_error(name, value, &v);
+    }
+    if (!error.empty()) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      exit_code_ = 2;
+      return false;
+    }
     values_.emplace_back(name, std::move(value));
   }
   return true;
@@ -107,15 +120,38 @@ std::string CliParser::get_string(const std::string& name,
   return raw ? *raw : fallback;
 }
 
+std::string CliParser::number_error(const std::string& name,
+                                    const std::string& raw,
+                                    double* out) const {
+  char* end = nullptr;
+  *out = std::strtod(raw.c_str(), &end);
+  if (end == raw.c_str() || *end != '\0')
+    return program_ + ": --" + name + " expects a number, got '" + raw + "'";
+  return "";
+}
+
+std::string CliParser::int_error(const std::string& name,
+                                 const std::string& raw,
+                                 std::int64_t* out) const {
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(raw.c_str(), &end, 10);
+  if (end == raw.c_str() || *end != '\0')
+    return program_ + ": --" + name + " expects an integer, got '" + raw +
+           "'";
+  // strtoll clamps an overflowing value to LLONG_MIN/LLONG_MAX.
+  if (errno == ERANGE)
+    return program_ + ": --" + name + " is out of range, got '" + raw + "'";
+  *out = v;
+  return "";
+}
+
 double CliParser::get_double(const std::string& name, double fallback) const {
   auto raw = raw_value(name);
   if (!raw) return fallback;
-  char* end = nullptr;
-  double v = std::strtod(raw->c_str(), &end);
-  if (end == raw->c_str() || *end != '\0') {
-    throw std::invalid_argument(program_ + ": --" + name +
-                                " expects a number, got '" + *raw + "'");
-  }
+  double v;
+  if (std::string error = number_error(name, *raw, &v); !error.empty())
+    throw std::invalid_argument(error);
   return v;
 }
 
@@ -123,18 +159,9 @@ std::int64_t CliParser::get_int(const std::string& name,
                                 std::int64_t fallback) const {
   auto raw = raw_value(name);
   if (!raw) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  long long v = std::strtoll(raw->c_str(), &end, 10);
-  if (end == raw->c_str() || *end != '\0') {
-    throw std::invalid_argument(program_ + ": --" + name +
-                                " expects an integer, got '" + *raw + "'");
-  }
-  // strtoll clamps an overflowing value to LLONG_MIN/LLONG_MAX.
-  if (errno == ERANGE) {
-    throw std::invalid_argument(program_ + ": --" + name +
-                                " is out of range, got '" + *raw + "'");
-  }
+  std::int64_t v;
+  if (std::string error = int_error(name, *raw, &v); !error.empty())
+    throw std::invalid_argument(error);
   return v;
 }
 

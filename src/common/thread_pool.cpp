@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -47,31 +46,33 @@ std::size_t default_num_threads() {
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
+using BlockFn = FunctionRef<void(std::size_t, std::size_t)>;
+
 void run_serial(std::size_t begin, std::size_t end, std::size_t grain,
-                const std::function<void(std::size_t, std::size_t)>& fn) {
+                BlockFn fn) {
   for (std::size_t lo = begin; lo < end; lo += grain)
     fn(lo, lo + grain < end ? lo + grain : end);
 }
 
-// One parallel_for invocation. Immutable after construction except for the
-// claim/progress atomics, so a worker that wakes late and grabs an already-
-// finished job just sees an exhausted counter and goes back to sleep.
+// One parallel_for invocation, living on the caller's stack. Immutable
+// after construction except for the claim/progress atomics and the
+// `attached` count (guarded by the pool mutex): a worker attaches while the
+// job is published and detaches when its blocks are done, and the caller
+// unpublishes the job only once every block has finished and no worker is
+// attached — so no worker can touch the job after parallel_for returns.
 struct Job {
-  Job(std::uint64_t id_, const std::function<void(std::size_t, std::size_t)>& fn_,
-      std::size_t begin_, std::size_t end_, std::size_t grain_,
-      std::size_t num_blocks_)
-      : id(id_), fn(&fn_), begin(begin_), end(end_), grain(grain_),
+  Job(std::uint64_t id_, BlockFn fn_, std::size_t begin_, std::size_t end_,
+      std::size_t grain_, std::size_t num_blocks_)
+      : id(id_), fn(fn_), begin(begin_), end(end_), grain(grain_),
         num_blocks(num_blocks_) {}
 
   const std::uint64_t id;
-  // Borrowed from the caller; only dereferenced while a claimed block runs,
-  // and parallel_for does not return (ending fn's lifetime) until every
-  // block has finished.
-  const std::function<void(std::size_t, std::size_t)>* fn;
+  const BlockFn fn;
   const std::size_t begin, end, grain, num_blocks;
 
   std::atomic<std::size_t> next_block{0};
   std::atomic<std::size_t> blocks_done{0};
+  std::size_t attached = 0;  // workers inside run_blocks; guarded by Impl::mu
   std::mutex err_mu;
   std::exception_ptr first_error;  // guarded by err_mu
 };
@@ -86,7 +87,7 @@ void run_blocks(Job& job) {
     const std::size_t lo = job.begin + b * job.grain;
     const std::size_t hi = lo + job.grain < job.end ? lo + job.grain : job.end;
     try {
-      (*job.fn)(lo, hi);
+      job.fn(lo, hi);
     } catch (...) {
       std::lock_guard<std::mutex> lock(job.err_mu);
       if (!job.first_error) job.first_error = std::current_exception();
@@ -104,7 +105,7 @@ struct ThreadPool::Impl {
   std::condition_variable work_cv;   // workers wait here for a job
   std::condition_variable done_cv;   // the caller waits here for completion
   std::vector<std::thread> workers;
-  std::shared_ptr<Job> current;      // guarded by mu
+  Job* current = nullptr;            // guarded by mu
   std::uint64_t next_job_id = 1;
   bool shutting_down = false;
 
@@ -114,7 +115,7 @@ struct ThreadPool::Impl {
   void worker_loop() {
     std::uint64_t seen_id = 0;
     for (;;) {
-      std::shared_ptr<Job> job;
+      Job* job;
       {
         std::unique_lock<std::mutex> lock(mu);
         work_cv.wait(lock, [&] {
@@ -123,12 +124,14 @@ struct ThreadPool::Impl {
         if (shutting_down) return;
         job = current;
         seen_id = job->id;
+        ++job->attached;
       }
       run_blocks(*job);
-      if (job->blocks_done.load(std::memory_order_acquire) == job->num_blocks) {
+      {
         std::lock_guard<std::mutex> lock(mu);
-        done_cv.notify_all();
+        --job->attached;
       }
+      done_cv.notify_all();
     }
   }
 
@@ -179,9 +182,8 @@ void ThreadPool::set_num_threads(std::size_t n) {
 
 unsigned ThreadPool::current_worker_id() { return pool_worker_id; }
 
-void ThreadPool::parallel_for(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
+void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
+                              std::size_t grain, BlockFn fn) {
   if (begin >= end) return;
   if (grain < 1) grain = 1;
   const std::size_t num_blocks = (end - begin + grain - 1) / grain;
@@ -191,29 +193,27 @@ void ThreadPool::parallel_for(
   }
 
   std::lock_guard<std::mutex> job_lock(impl_->job_mu);
-  std::shared_ptr<Job> job;
+  Job job(impl_->next_job_id++, fn, begin, end, grain, num_blocks);
   {
     std::lock_guard<std::mutex> lock(impl_->mu);
-    job = std::make_shared<Job>(impl_->next_job_id++, fn, begin, end, grain,
-                                num_blocks);
-    impl_->current = job;
+    impl_->current = &job;
   }
   impl_->work_cv.notify_all();
-  run_blocks(*job);  // the caller works too
+  run_blocks(job);  // the caller works too
 
   {
     std::unique_lock<std::mutex> lock(impl_->mu);
     impl_->done_cv.wait(lock, [&] {
-      return job->blocks_done.load(std::memory_order_acquire) ==
-             job->num_blocks;
+      return job.attached == 0 &&
+             job.blocks_done.load(std::memory_order_acquire) == num_blocks;
     });
-    impl_->current.reset();
+    impl_->current = nullptr;
   }
-  if (job->first_error) std::rethrow_exception(job->first_error);
+  if (job.first_error) std::rethrow_exception(job.first_error);
 }
 
 void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
-                  const std::function<void(std::size_t, std::size_t)>& fn) {
+                  BlockFn fn) {
   ThreadPool::instance().parallel_for(begin, end, grain, fn);
 }
 

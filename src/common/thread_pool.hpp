@@ -19,8 +19,9 @@
 // override at runtime with set_num_threads().
 #pragma once
 
+#include "common/function_ref.hpp"
+
 #include <cstddef>
-#include <functional>
 
 namespace gbo {
 
@@ -51,9 +52,10 @@ class ThreadPool {
   /// blocks of `grain` (the final block may be short). Blocks are claimed
   /// dynamically by the workers and the calling thread; the call returns
   /// once every block has finished. The first exception thrown by any
-  /// block is rethrown on the caller.
+  /// block is rethrown on the caller. Neither `fn` (a non-owning
+  /// reference) nor the dispatch itself touches the heap.
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
-                    const std::function<void(std::size_t, std::size_t)>& fn);
+                    FunctionRef<void(std::size_t, std::size_t)> fn);
 
  private:
   ThreadPool();
@@ -64,6 +66,6 @@ class ThreadPool {
 
 /// Convenience wrapper over ThreadPool::instance().parallel_for.
 void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
-                  const std::function<void(std::size_t, std::size_t)>& fn);
+                  FunctionRef<void(std::size_t, std::size_t)> fn);
 
 }  // namespace gbo

@@ -13,8 +13,8 @@
 //
 // Threading (two levels, both on the shared pool of common/thread_pool.hpp,
 // sized by GBO_NUM_THREADS):
-//  * per-batch kernels — GEMM in linear/conv2d, the im2col lowering, and
-//    the fused pulse-level MVM in attached crossbar layers;
+//  * per-batch kernels — GEMM in linear/conv2d, the conv input padding,
+//    and the fused pulse-level MVM in attached crossbar layers;
 //  * per-trial dispatch — evaluate_noisy (and everything built on it:
 //    calibrate_sigmas, the GBO searches, the NIA validation loop) runs its
 //    independent noise-draw trials concurrently, one stateless EvalContext

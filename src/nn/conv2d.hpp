@@ -1,30 +1,39 @@
-// 2D convolution (square kernel) via im2col + GEMM, with a direct
-// packed-panel kernel for the dominant 3×3 stride-1 shape.
+// 2D convolution (square kernel) as packed GEMMs over a zero-padded copy of
+// the input — one lowering for every geometry, forward and backward.
 //
 // Weight layout: [out_c, in_c * k * k], i.e. already flattened to the MVM
-// matrix a crossbar tile would store. Forward lowers the input to the patch
-// matrix, multiplies, and reshapes to NCHW.
-//
-// Every conv MVM runs the packed-panel kernel (a conv's row count scales
-// with the output image, so panels always pay), over weight panels cached
-// across requests and stamped with the weight's version counter
-// (gemm::PackedWeightCache, DESIGN.md §6) — steady-state serving packs no
-// conv weights. 3×3 stride-1 layers skip the im2col materialization
-// entirely: the patch gather is fused into the packed GEMM's A-panel
-// packer, so each receptive field is read straight from the NCHW input
-// into a cache-resident panel while the packed weight panels are reused
-// across every output row slab. Because the direct kernel runs the exact
-// packed multiply the im2col route runs (same packed weights, same panel
-// contents, same micro-kernel), its outputs are bitwise equal to the
-// im2col route at any GBO_NUM_THREADS (tests/test_nn_layers.cpp). Both
-// dispatch choices depend only on the layer geometry, never on the batch,
-// so fused serving batches stay bitwise row-equal to unit batches.
+// matrix a crossbar tile would store. Conceptually forward multiplies the
+// patch matrix cols [N·oh·ow, in_c·k·k] (what im2col would write) by Wᵀ.
+// No patch matrix is ever materialized: the input is copied once into a
+// buffer with `pad` zero rows and columns around every channel plane, after
+// which element (r, p) of cols is a single load at
+//   padded[origin(r) + tap(p)]
+// — the receptive-field origin of output pixel r plus the fixed offset of
+// patch column p — with no bounds checks. That gather runs inside the
+// packed GEMM's A-panel packer (DESIGN.md §5):
+//   * forward / infer: y = cols·Wᵀ over the cached packed weight panels
+//     (gemm::PackedWeightCache, DESIGN.md §6), so steady-state serving
+//     packs no conv weights. Infer bump-allocates the padded copy from the
+//     context's arena; the conv infer path then performs no heap
+//     allocation (tests/test_arena.cpp counts operator new).
+//   * wgrad: dWᵀ = colsᵀ·grad_rows with the same gather as the A panel (rows
+//     = patch columns) and grad_out packed once, straight from NCHW, as B.
+//   * dgrad: per image Gᵀ = Wᵀ·grad_outₙ [patch_len, oh·ow] (small images
+//     share a GEMM call), then each tap row of Gᵀ is added into dX in
+//     descending tap order.
+// Every product is bitwise equal to the im2col → GEMM → col2im route
+// (DESIGN.md §5 gives the argument; tests/test_nn_layers.cpp and the
+// bench_micro_mvm `conv_direct` gate check it) at any GBO_NUM_THREADS. The
+// lowering depends only on the layer geometry, never on the batch, so fused
+// serving batches stay bitwise row-equal to unit batches.
 #pragma once
 
 #include "common/rng.hpp"
 #include "nn/module.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
+
+#include <vector>
 
 namespace gbo::nn {
 
@@ -45,25 +54,17 @@ class Conv2d : public Module {
   std::size_t out_channels() const { return out_c_; }
   Param& weight() { return weight_; }
 
-  /// True when this layer's infer routes through the direct 3×3 stride-1
-  /// kernel. A function of the layer geometry alone since this PR — the
-  /// historical `m = N·oh·ow` argument is ignored, kept so benches/tests
-  /// keep compiling — which is what makes the dispatch identical at every
-  /// batch size, with and without an arena, and at any thread count.
-  bool direct_conv_eligible(std::size_t m) const;
-
  protected:
   /// Hooks mirroring Linear's, so the quantized subclass reuses this body.
   virtual const Tensor& effective_weight();
   virtual void on_weight_grad(Tensor& /*grad_w*/) {}
 
   /// Shared const forward body over a raw [out_c, patch_len] weight:
-  /// (direct gather | im2col) → packed GEMM → NCHW (+ bias when
+  /// padded copy → packed GEMM with the patch gather → NCHW (+ bias when
   /// `with_bias`). `panels` is the weight's packed panel set (cache hit or
   /// caller-owned); nullptr packs fresh — bitwise identical either way.
   /// With a context carrying a scratch arena, all scratch is bump-allocated
-  /// and the output tensor is recycled; the conv infer path then performs
-  /// no heap allocation.
+  /// and the output tensor is recycled.
   Tensor infer_with_weight(const Tensor& x, const float* w, bool with_bias,
                            EvalContext* ctx, const float* panels) const;
 
@@ -80,7 +81,17 @@ class Conv2d : public Module {
   bool has_bias_ = true;
   Param weight_;  // [out_c, in_c*k*k]
   Param bias_;    // [out_c]
-  Tensor cached_cols_;        // [N*oh*ow, in_c*k*k]
+
+ private:
+  void check_input(const Tensor& x) const;
+  /// y = cols·Wᵀ (+ bias) → NCHW, reading cols from `padded`.
+  Tensor multiply(const float* padded, std::size_t batch, bool with_bias,
+                  EvalContext* ctx, const float* panels) const;
+
+  /// Offset of patch column p = (c, ky, kx) from its receptive field's
+  /// origin in the padded input: c·hp·wp + ky·wp + kx.
+  std::vector<std::size_t> taps_;
+  Tensor cached_padded_;  // [N, in_c, in_h + 2·pad, in_w + 2·pad]
   // Borrowed from persistent layer storage (see Linear::cached_eff_weight_).
   const Tensor* cached_eff_weight_ = nullptr;
   std::size_t cached_batch_ = 0;

@@ -18,7 +18,7 @@
 //
 // Scratch arena (DESIGN.md §4): a long-lived context may attach a
 // worker-owned ScratchArena; the layers then route their temporaries
-// (im2col patch matrices, binarized weights, activation outputs) through
+// (padded conv inputs, binarized weights, activation outputs) through
 // it via make()/recycle() and ArenaFrame, making steady-state inference
 // allocation-free. The arena never changes arithmetic — infer results are
 // bitwise identical with and without one.

@@ -21,7 +21,7 @@
 // fusion_mode() tells the server how run() may execute micro-batches.
 // Deterministic backends fuse into one whole-tensor call: every kernel in
 // the infer path computes each batch row independently (row-stable GEMM
-// dispatch, per-sample im2col/BN/pooling, elementwise activations), so the
+// dispatch, per-sample patch gathers/BN/pooling, elementwise activations), so the
 // fused result is bitwise equal row-for-row to unit-batch execution — the
 // batching-boundary half of the serving determinism contract, enforced by
 // tests/test_serve.cpp. Stochastic configurations fuse too when every

@@ -4,7 +4,7 @@
 // request; the general-purpose allocator is pure overhead on that loop. The
 // arena gives the infer path two recycled memory sources:
 //
-//  * a bump-pointer region for raw in-layer scratch (im2col patch matrices,
+//  * a bump-pointer region for raw in-layer scratch (padded conv inputs,
 //    GEMM row buffers, binarized weights, pre-drawn pulse noise). ArenaFrame
 //    saves/restores the bump offset around each layer, so the region's
 //    footprint is the *maximum* single-layer need, not the sum, and memory

@@ -18,7 +18,7 @@ namespace {
 // work stays large enough to amortize dispatch. NC is a whole number of NR
 // strips, so packed strips never straddle an NC block.
 constexpr std::size_t MC = 64;
-constexpr std::size_t KC = 256;
+constexpr std::size_t KC = kKC;
 constexpr std::size_t NC = 256;
 constexpr std::size_t MR = kMR;
 constexpr std::size_t NR = kNR;

@@ -31,11 +31,12 @@
 // not alias. Callers (ops::matmul*) own shape validation.
 #pragma once
 
+#include "common/function_ref.hpp"
+
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <type_traits>
 #include <vector>
 
 namespace gbo {
@@ -44,10 +45,11 @@ class ScratchArena;
 
 namespace gbo::gemm {
 
-/// Register-tile dimensions, exposed because they define the packed panel
-/// layouts below (block sizes MC/KC/NC stay internal).
-inline constexpr std::size_t kMR = 6;   // rows per packed A strip
-inline constexpr std::size_t kNR = 16;  // columns per packed B strip
+/// Register-tile dimensions and the K-block depth, exposed because they
+/// define the packed panel layouts below (block sizes MC/NC stay internal).
+inline constexpr std::size_t kMR = 6;    // rows per packed A strip
+inline constexpr std::size_t kNR = 16;   // columns per packed B strip
+inline constexpr std::size_t kKC = 256;  // K rows per packed block
 
 /// C = A·B (+ C when accumulate): A[m,k] lda, B[k,n] ldb, C[m,n] ldc.
 /// Dispatches to the packed-panel path for non-tiny problems.
@@ -66,9 +68,7 @@ void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const float* A,
              std::size_t ldc, float* pack_scratch = nullptr);
 
 /// True when gemm_nt(m, n, k, ...) takes the packed-panel path and would
-/// therefore use (or allocate) a packed-B buffer. Shape-only predicate:
-/// the conv layer uses it to dispatch its direct kernel onto exactly the
-/// shapes whose im2col route would run the packed kernel.
+/// therefore use (or allocate) a packed-B buffer. Shape-only predicate.
 bool gemm_nt_packs_b(std::size_t m, std::size_t n, std::size_t k);
 
 /// Floats of pack scratch gemm_nt needs for this shape (0 when the shape
@@ -108,9 +108,10 @@ std::uint64_t b_pack_count();
 
 // ---- packed-panel building blocks ----------------------------------------
 //
-// Shared by gemm_nn/gemm_nt and the direct convolution kernel
-// (nn/conv2d.cpp), which fuses its im2col patch gather into the A-panel
-// packer and therefore needs the layouts public.
+// Shared by gemm_nn/gemm_nt and the convolution layer (nn/conv2d.cpp),
+// which gathers its patches inside the A-panel packer and packs its
+// weight-gradient B operand straight from NCHW, and therefore needs the
+// layouts public.
 
 /// Size in floats of a packed-B buffer for B[k, n]: k rows × n rounded up
 /// to a whole number of kNR-column strips (the padding columns are zero).
@@ -137,34 +138,10 @@ void pack_a_panel(const float* A, std::size_t lda, std::size_t i0,
 
 /// Caller-supplied A-panel producer: must fill `dst` exactly as
 /// pack_a_panel would, but may synthesize the values from any source (the
-/// direct conv kernel gathers 3×3 input patches here, skipping im2col).
-///
-/// Non-owning function reference (not std::function): a callable with
-/// capture state would heap-allocate on type erasure, putting one malloc
-/// on every serving-path conv call. The referenced callable only needs to
-/// outlive the gemm_prepacked_b call it is passed to.
-class PanelPacker {
- public:
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, PanelPacker>>>
-  PanelPacker(const F& f)  // NOLINT: implicit by design, function_ref-style
-      : ctx_(const_cast<void*>(static_cast<const void*>(&f))),
-        fn_([](void* ctx, std::size_t i0, std::size_t i1, std::size_t pc,
-               std::size_t kc, float* dst) {
-          (*static_cast<const F*>(ctx))(i0, i1, pc, kc, dst);
-        }) {}
-
-  void operator()(std::size_t i0, std::size_t i1, std::size_t pc,
-                  std::size_t kc, float* dst) const {
-    fn_(ctx_, i0, i1, pc, kc, dst);
-  }
-
- private:
-  void* ctx_;
-  void (*fn_)(void*, std::size_t, std::size_t, std::size_t, std::size_t,
-              float*);
-};
+/// conv layer gathers receptive-field patches here, skipping im2col). A
+/// non-owning reference: binding a capturing lambda never heap-allocates.
+using PanelPacker = FunctionRef<void(std::size_t, std::size_t, std::size_t,
+                                     std::size_t, float*)>;
 
 /// The packed-panel multiply core: C = (packed A)·(packed B) (+ C when
 /// accumulate), with `packedB` laid out by pack_b/pack_b_t and A panels

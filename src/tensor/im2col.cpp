@@ -6,13 +6,6 @@
 
 namespace gbo {
 
-Tensor im2col(const Tensor& input, const ConvGeom& g) {
-  Tensor cols({input.ndim() == 4 ? input.dim(0) * g.out_h() * g.out_w() : 0,
-               g.patch_len()});
-  im2col_into(input, g, cols.data());
-  return cols;
-}
-
 void im2col_into(const Tensor& input, const ConvGeom& g, float* out) {
   if (input.ndim() != 4)
     throw std::invalid_argument("im2col: expected NCHW input, got " + input.shape_str());
@@ -103,48 +96,6 @@ void rows_to_nchw_into(const float* rows, std::size_t batch, std::size_t out_c,
         for (std::size_t c = 0; c < out_c; ++c)
           dst[((n * out_c + c) * oh + y) * ow + x] = row[c];
       }
-}
-
-Tensor col2im(const Tensor& columns, std::size_t batch, const ConvGeom& g) {
-  const std::size_t oh = g.out_h(), ow = g.out_w(), plen = g.patch_len();
-  if (columns.ndim() != 2 || columns.dim(0) != batch * oh * ow || columns.dim(1) != plen)
-    throw std::invalid_argument("col2im: column shape does not match geometry");
-
-  Tensor grad({batch, g.in_c, g.in_h, g.in_w});
-  float* out = grad.data();
-  const float* in = columns.data();
-  const std::size_t chw = g.in_c * g.in_h * g.in_w;
-
-  // Overlapping patches accumulate within one image, but images are
-  // independent: thread over the batch only.
-  parallel_for(0, batch, 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t n = lo; n < hi; ++n) {
-      float* img = out + n * chw;
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox) {
-          const float* row = in + ((n * oh + oy) * ow + ox) * plen;
-          const std::ptrdiff_t iy0 =
-              static_cast<std::ptrdiff_t>(oy * g.stride) - static_cast<std::ptrdiff_t>(g.pad);
-          const std::ptrdiff_t ix0 =
-              static_cast<std::ptrdiff_t>(ox * g.stride) - static_cast<std::ptrdiff_t>(g.pad);
-          std::size_t idx = 0;
-          for (std::size_t c = 0; c < g.in_c; ++c) {
-            float* chan = img + c * g.in_h * g.in_w;
-            for (std::size_t ky = 0; ky < g.k; ++ky) {
-              const std::ptrdiff_t iy = iy0 + static_cast<std::ptrdiff_t>(ky);
-              const bool y_ok = iy >= 0 && iy < static_cast<std::ptrdiff_t>(g.in_h);
-              for (std::size_t kx = 0; kx < g.k; ++kx, ++idx) {
-                const std::ptrdiff_t ix = ix0 + static_cast<std::ptrdiff_t>(kx);
-                if (y_ok && ix >= 0 && ix < static_cast<std::ptrdiff_t>(g.in_w))
-                  chan[iy * static_cast<std::ptrdiff_t>(g.in_w) + ix] += row[idx];
-              }
-            }
-          }
-        }
-      }
-    }
-  });
-  return grad;
 }
 
 }  // namespace gbo

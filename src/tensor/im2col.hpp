@@ -1,10 +1,14 @@
-// im2col / col2im lowering for convolution.
+// Patch lowerings of a convolution for the crossbar execution paths.
 //
-// Conv2d forward is computed as GEMM over the im2col patch matrix; the
-// backward data pass uses col2im. The same patch matrix is also what gets
-// streamed through the crossbar simulator pulse-by-pulse, so this lowering
-// is the single point where "convolution" becomes "MVM" for both the
-// digital and the analog execution paths.
+// The host Conv2d (nn/conv2d.*) never materializes a patch matrix: its
+// packed GEMMs gather patches straight from a zero-padded copy of the
+// input, forward and backward. What stays here is the explicit lowering
+// the pulse-level deployment path (crossbar/hw_deploy.*) streams through
+// the crossbar simulator pulse by pulse, the binary conv route's byte
+// lowering, and the GEMM-rows → NCHW reshape both conv routes share — the
+// points where "convolution" becomes "MVM" for the analog paths. The
+// im2col → col2im training route survives only as the test-side oracle
+// (tests/conv_reference.hpp).
 #pragma once
 
 #include "tensor/tensor.hpp"
@@ -24,13 +28,10 @@ struct ConvGeom {
   std::size_t patch_len() const { return in_c * k * k; }
 };
 
-/// input: [N, C, H, W]  ->  columns: [N * out_h * out_w, C * k * k]
-/// Each row is one receptive-field patch (zero padded at borders).
-Tensor im2col(const Tensor& input, const ConvGeom& g);
-
-/// Same lowering into a caller-provided buffer of N*out_h*out_w*patch_len
-/// floats (arena scratch in the stateless infer path). Every element is
-/// written, padding included; bitwise identical to im2col.
+/// input [N, C, H, W] -> columns [N * out_h * out_w, C * k * k] in a
+/// caller-provided buffer (arena scratch on the stateless paths): one
+/// receptive-field patch per row, zero padded at the borders. Every
+/// element is written, padding included.
 void im2col_into(const Tensor& input, const ConvGeom& g, float* out);
 
 /// The binary conv route's lowering over one-byte level codes of an NCHW
@@ -46,10 +47,6 @@ std::size_t padded_hwc_bytes(std::size_t batch, const ConvGeom& g);
 void im2col_codes_into(const std::uint8_t* codes, std::size_t batch,
                        const ConvGeom& g, std::uint8_t pad,
                        std::uint8_t* scratch, std::uint8_t* out);
-
-/// Inverse scatter-add of im2col: columns [N * out_h * out_w, C*k*k]
-/// -> gradient w.r.t. input [N, C, H, W].
-Tensor col2im(const Tensor& columns, std::size_t batch, const ConvGeom& g);
 
 /// GEMM-result rows [N * oh * ow, out_c] -> NCHW [N, out_c, oh, ow] into a
 /// caller buffer — the output-side counterpart of the lowering, shared by

@@ -2,6 +2,7 @@
 // the tensor recycler stabilizes, and — the load-bearing property — the
 // arena-backed stateless inference path is bitwise identical to the plain
 // allocating path on every model family and on the pulse-level crossbar.
+#include "common/thread_pool.hpp"
 #include "crossbar/crossbar_layers.hpp"
 #include "crossbar/hw_deploy.hpp"
 #include "models/mlp.hpp"
@@ -12,7 +13,26 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
+
+// Counting replacement of the global allocation functions for this test
+// binary: every operator new / new[] on any thread bumps the counter, so a
+// test can assert that a region performed no heap allocation at all — not
+// merely none that the arena's own stats() saw.
+namespace {
+std::atomic<std::size_t> g_heap_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n != 0 ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace gbo {
 namespace {
@@ -169,6 +189,47 @@ TEST(ScratchArena, InferBitwiseResNet) {
   models::ResNet m = models::build_resnet(cfg);
   const Tensor x = random_tensor({3, 3, 8, 8}, 7);
   expect_arena_infer_bitwise(m, x, 8);
+}
+
+/// Heap allocations made by steady-state arena-backed infer passes, after
+/// two warm-up passes have sized the arena and every frozen-weight cache.
+template <typename Model>
+std::size_t steady_state_heap_allocs(Model& m, const Tensor& x) {
+  m.net->set_training(false);
+  ScratchArena arena;
+  std::size_t allocs = 0;
+  for (int pass = 0; pass < 5; ++pass) {
+    nn::EvalContext ctx{Rng(3), &arena};
+    const std::size_t before = g_heap_allocs.load(std::memory_order_relaxed);
+    Tensor y = m.net->infer(x, ctx);
+    const std::size_t after = g_heap_allocs.load(std::memory_order_relaxed);
+    if (pass >= 2) allocs += after - before;
+    ctx.recycle(std::move(y));
+  }
+  return allocs;
+}
+
+TEST(ScratchArena, ConvInferSteadyStateIsHeapFree) {
+  ThreadPool& pool = ThreadPool::instance();
+  const std::size_t restore = pool.num_threads();
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    pool.set_num_threads(threads);
+    models::Vgg9Config vcfg;
+    vcfg.width = 4;
+    vcfg.image_size = 8;
+    models::Vgg9 vgg = models::build_vgg9(vcfg);
+    EXPECT_EQ(steady_state_heap_allocs(vgg, random_tensor({3, 3, 8, 8}, 5)),
+              0u)
+        << "VGG9 infer allocated at " << threads << " threads";
+    models::ResNetConfig rcfg;
+    rcfg.width = 4;
+    rcfg.image_size = 8;
+    models::ResNet res = models::build_resnet(rcfg);
+    EXPECT_EQ(steady_state_heap_allocs(res, random_tensor({3, 3, 8, 8}, 7)),
+              0u)
+        << "ResNet infer allocated at " << threads << " threads";
+  }
+  pool.set_num_threads(restore);
 }
 
 TEST(ScratchArena, PulseLevelEngineBitwiseWithArena) {

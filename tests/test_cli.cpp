@@ -105,6 +105,25 @@ TEST(Cli, MalformedNumberThrows) {
   EXPECT_THROW(cli2.get_int("epochs", 0), std::invalid_argument);
 }
 
+TEST(Cli, TypedNumericOptionFailsAtParse) {
+  // A malformed or out-of-range value of a numeric option ends parsing like
+  // an unknown flag (exit code 2), before any get_* could throw.
+  for (const char* arg : {"--n=99999999999999999999", "--n=12abc", "--n=",
+                          "--x=fast", "--x=1e5e"}) {
+    CliParser cli("bench_test", "Test harness.");
+    cli.add_option("n", "Count", "1", CliParser::Value::kInt);
+    cli.add_option("x", "Rate", "1.0", CliParser::Value::kNumber);
+    EXPECT_FALSE(parse(cli, {arg})) << arg;
+    EXPECT_EQ(cli.exit_code(), 2) << arg;
+  }
+  CliParser cli("bench_test", "Test harness.");
+  cli.add_option("n", "Count", "1", CliParser::Value::kInt);
+  cli.add_option("x", "Rate", "1.0", CliParser::Value::kNumber);
+  ASSERT_TRUE(parse(cli, {"--n", "-9223372036854775808", "--x=2.5e3"}));
+  EXPECT_EQ(cli.get_int("n", 0), INT64_MIN);
+  EXPECT_EQ(cli.get_double("x", 0.0), 2500.0);
+}
+
 TEST(Cli, OverflowingIntegerThrows) {
   // strtoll clamps these to LLONG_MAX/LLONG_MIN; the parser must not.
   for (const char* arg : {"--epochs=9223372036854775808",

@@ -2,6 +2,8 @@
 
 #include "tensor/ops.hpp"
 
+#include "conv_reference.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,6 +11,9 @@
 
 namespace gbo {
 namespace {
+
+using conv_ref::col2im;
+using conv_ref::im2col;
 
 TEST(Im2col, GeometryOutputSizes) {
   ConvGeom g{.in_c = 3, .in_h = 8, .in_w = 8, .k = 3, .stride = 1, .pad = 1};

@@ -6,13 +6,19 @@
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
 #include "nn/sequential.hpp"
+#include "quant/binary_weight.hpp"
+#include "quant/quant_layers.hpp"
 #include "tensor/arena.hpp"
 #include "tensor/ops.hpp"
+
+#include "conv_reference.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <string>
 
 namespace gbo::nn {
 namespace {
@@ -94,10 +100,15 @@ TEST(Conv2d, MatchesDirectConvolution) {
   EXPECT_TRUE(ops::allclose(y, expected, 1e-4f, 1e-5f));
 }
 
-/// Direct 3×3 stride-1 kernel vs the im2col route: `infer` dispatches the
-/// direct packed kernel for these shapes, `forward` always lowers through
-/// im2col + GEMM — the two must agree bitwise at any thread count, with
-/// and without an arena (the serving configuration).
+bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+/// Conv forward against the im2col → packed GEMM oracle
+/// (tests/conv_reference.hpp) on network shapes: `forward`, `infer` and
+/// arena-backed `infer` all run the padded-gather lowering and must equal
+/// the explicit route bitwise at any thread count.
 TEST(Conv2d, DirectConvMatchesIm2colBitwiseOnNetworkShapes) {
   struct Case {
     std::size_t in_c, hw, out_c, batch;
@@ -115,40 +126,40 @@ TEST(Conv2d, DirectConvMatchesIm2colBitwiseOnNetworkShapes) {
     Conv2d conv(cs.out_c, g, /*bias=*/true, rng);
     Tensor x({cs.batch, cs.in_c, cs.hw, cs.hw});
     ops::fill_normal(x, rng, 0.0f, 1.0f);
-    const std::size_t m = cs.batch * g.out_h() * g.out_w();
-    ASSERT_TRUE(conv.direct_conv_eligible(m))
-        << "expected direct dispatch at in_c=" << cs.in_c;
+    const Tensor grad({cs.batch, cs.out_c, g.out_h(), g.out_w()});
+    const Tensor want =
+        conv_ref::train_step(x, conv.weight().value,
+                             &conv.params()[1]->value, grad, g)
+            .y;
 
-    Tensor results[4];
+    Tensor results[2];
     int idx = 0;
     for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       pool.set_num_threads(threads);
-      Tensor y_im2col = conv.forward(x);
+      EXPECT_TRUE(bitwise_equal(conv.forward(x), want))
+          << "forward vs im2col route at " << threads << " threads, in_c="
+          << cs.in_c << " out_c=" << cs.out_c;
       EvalContext plain;
-      Tensor y_direct = conv.infer(x, plain);
-      ASSERT_EQ(y_direct.shape(), y_im2col.shape());
-      EXPECT_EQ(0, std::memcmp(y_direct.data(), y_im2col.data(),
-                               y_direct.numel() * sizeof(float)))
-          << "direct vs im2col mismatch at " << threads << " threads, in_c="
+      Tensor y_infer = conv.infer(x, plain);
+      EXPECT_TRUE(bitwise_equal(y_infer, want))
+          << "infer vs im2col route at " << threads << " threads, in_c="
           << cs.in_c << " out_c=" << cs.out_c;
       ScratchArena arena;
       EvalContext with_arena(Rng(1), &arena);
-      Tensor y_arena = conv.infer(x, with_arena);
-      EXPECT_EQ(0, std::memcmp(y_arena.data(), y_im2col.data(),
-                               y_arena.numel() * sizeof(float)))
-          << "arena-backed direct conv diverged at " << threads << " threads";
-      results[idx++] = std::move(y_direct);
+      EXPECT_TRUE(bitwise_equal(conv.infer(x, with_arena), want))
+          << "arena-backed infer diverged at " << threads << " threads";
+      results[idx++] = std::move(y_infer);
     }
-    EXPECT_EQ(0, std::memcmp(results[0].data(), results[1].data(),
-                             results[0].numel() * sizeof(float)))
-        << "direct conv not thread-count reproducible at in_c=" << cs.in_c;
+    EXPECT_TRUE(bitwise_equal(results[0], results[1]))
+        << "conv infer not thread-count reproducible at in_c=" << cs.in_c;
   }
   pool.set_num_threads(restore);
 }
 
 TEST(Conv2d, NonDirectShapesStillRouteThroughIm2col) {
-  // Stride 2 and 5×5 kernels are not direct-eligible; infer must keep
-  // matching forward (via the im2col route) and the reference conv.
+  // Stride 2 and 5×5 kernels run the same padded-gather lowering as 3×3
+  // stride 1: forward and infer must equal the im2col oracle bitwise and
+  // the quadruple-loop reference numerically.
   struct Case {
     std::size_t k, stride, pad;
   };
@@ -159,32 +170,125 @@ TEST(Conv2d, NonDirectShapesStillRouteThroughIm2col) {
     Conv2d conv(6, g, /*bias=*/false, rng);
     Tensor x({2, 4, 9, 9});
     ops::fill_normal(x, rng, 0.0f, 1.0f);
-    const std::size_t m = 2 * g.out_h() * g.out_w();
-    EXPECT_FALSE(conv.direct_conv_eligible(m));
+    const Tensor want =
+        conv_ref::train_step(x, conv.weight().value, nullptr,
+                             Tensor({2, 6, g.out_h(), g.out_w()}), g)
+            .y;
     Tensor y_fwd = conv.forward(x);
     EvalContext ctx;
     Tensor y_inf = conv.infer(x, ctx);
-    EXPECT_EQ(0, std::memcmp(y_inf.data(), y_fwd.data(),
-                             y_inf.numel() * sizeof(float)));
+    EXPECT_TRUE(bitwise_equal(y_fwd, want)) << "k=" << cs.k;
+    EXPECT_TRUE(bitwise_equal(y_inf, want)) << "k=" << cs.k;
     Tensor expected = ref_conv(x, conv.weight().value, g, 6);
     EXPECT_TRUE(ops::allclose(y_inf, expected, 1e-4f, 1e-4f));
   }
 }
 
 TEST(Conv2d, DirectConvHandlesZeroPadding) {
-  // pad=0 3×3 stride-1: the packer's bounds checks never fire, but the
-  // output grid shrinks — direct dispatch must still match im2col.
+  // pad=0: the padded copy is the input itself, and the output grid
+  // shrinks — forward and infer must still equal the im2col oracle.
   ConvGeom g{.in_c = 8, .in_h = 12, .in_w = 12, .k = 3, .stride = 1, .pad = 0};
   Rng rng(41);
   Conv2d conv(16, g, /*bias=*/true, rng);
   Tensor x({4, 8, 12, 12});
   ops::fill_normal(x, rng, 0.0f, 1.0f);
-  ASSERT_TRUE(conv.direct_conv_eligible(4 * g.out_h() * g.out_w()));
+  const Tensor want =
+      conv_ref::train_step(x, conv.weight().value, &conv.params()[1]->value,
+                           Tensor({4, 16, g.out_h(), g.out_w()}), g)
+          .y;
   Tensor y_fwd = conv.forward(x);
   EvalContext ctx;
   Tensor y_inf = conv.infer(x, ctx);
-  EXPECT_EQ(0, std::memcmp(y_inf.data(), y_fwd.data(),
-                           y_inf.numel() * sizeof(float)));
+  EXPECT_TRUE(bitwise_equal(y_fwd, want));
+  EXPECT_TRUE(bitwise_equal(y_inf, want));
+}
+
+/// The whole training step — y, dX, dW and the bias grad — against the
+/// im2col route: the fused wgrad/dgrad must feed every output element the
+/// same operands in the same accumulation order as matmul_at(grad_rows,
+/// cols) and col2im(matmul(grad_rows, W)).
+TEST(Conv2d, TrainStepMatchesIm2colRouteBitwise) {
+  struct Case {
+    std::size_t in_c, hw, out_c, k, stride, pad;
+  };
+  const Case cases[] = {
+      // The seven VGG9 conv layers (width 16, 16×16 images).
+      {3, 16, 16, 3, 1, 1}, {16, 16, 16, 3, 1, 1}, {16, 8, 32, 3, 1, 1},
+      {32, 8, 32, 3, 1, 1}, {32, 4, 64, 3, 1, 1}, {64, 4, 64, 3, 1, 1},
+      {64, 4, 64, 3, 1, 1},
+      // ResNet downsampling: 3×3 stride 2 and the 1×1 stride-2 shortcut.
+      {16, 16, 32, 3, 2, 1}, {16, 16, 32, 1, 2, 0},
+      // pad 0, 5×5, and ragged panels (out_c 6, patch_len 36, odd image).
+      {8, 12, 16, 3, 1, 0}, {4, 9, 6, 5, 1, 2}, {4, 9, 6, 3, 2, 1},
+      // Gᵀ of two images fills a dgrad GEMM call: 3 images take 2 calls.
+      {24, 16, 16, 3, 1, 1},
+  };
+  enum class Layer { kConv, kQuantUnscaled, kQuantScaled };
+  ThreadPool& pool = ThreadPool::instance();
+  const std::size_t restore = pool.num_threads();
+  std::uint64_t seed = 100;
+  for (const Case& cs : cases) {
+    for (Layer kind : {Layer::kConv, Layer::kQuantUnscaled, Layer::kQuantScaled}) {
+      ConvGeom g{.in_c = cs.in_c, .in_h = cs.hw, .in_w = cs.hw,
+                 .k = cs.k, .stride = cs.stride, .pad = cs.pad};
+      const std::size_t batch = 3;
+      Rng rng(++seed);
+      std::unique_ptr<Conv2d> conv;
+      if (kind == Layer::kConv)
+        conv = std::make_unique<Conv2d>(cs.out_c, g, /*bias=*/true, rng);
+      else
+        conv = std::make_unique<quant::QuantConv2d>(
+            cs.out_c, g, rng, /*scaled=*/kind == Layer::kQuantScaled);
+      if (kind == Layer::kConv)
+        ops::fill_normal(conv->params()[1]->value, rng, 0.0f, 1.0f);
+      Tensor x({batch, cs.in_c, cs.hw, cs.hw});
+      ops::fill_normal(x, rng, 0.0f, 1.0f);
+      Tensor grad({batch, cs.out_c, g.out_h(), g.out_w()});
+      ops::fill_normal(grad, rng, 0.0f, 1.0f);
+      for (std::size_t i = 0; i < grad.numel(); i += 7) grad[i] = 0.0f;
+
+      // The oracle over the layer's effective weight, then the quantized
+      // layer's epilogues: output/dX scaling and the STE clip on dW.
+      const Tensor& latent = conv->weight().value;
+      const bool quant = kind != Layer::kConv;
+      const bool scaled = kind == Layer::kQuantScaled;
+      const Tensor w_eff = quant ? quant::binarize(latent, false) : latent;
+      const float scale = scaled ? quant::binarize_scale(latent) : 1.0f;
+      const Tensor* bias = quant ? nullptr : &conv->params()[1]->value;
+      conv_ref::Step want = conv_ref::train_step(x, w_eff, bias, grad, g);
+      if (scaled) {
+        for (std::size_t i = 0; i < want.y.numel(); ++i) want.y[i] *= scale;
+        for (std::size_t i = 0; i < want.dx.numel(); ++i) want.dx[i] *= scale;
+      }
+      if (quant) quant::ste_clip_grad(latent, want.dw);
+      Tensor want_dw(want.dw.shape());  // the layer adds into a zero grad
+      ops::add_inplace(want_dw, want.dw);
+
+      for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        pool.set_num_threads(threads);
+        for (Param* p : conv->params()) p->zero_grad();
+        const Tensor y = conv->forward(x);
+        const Tensor dx = conv->backward(grad);
+        const std::string where =
+            "in_c=" + std::to_string(cs.in_c) + " hw=" +
+            std::to_string(cs.hw) + " out_c=" + std::to_string(cs.out_c) +
+            " k=" + std::to_string(cs.k) + " s=" + std::to_string(cs.stride) +
+            " layer=" + std::to_string(static_cast<int>(kind)) +
+            " threads=" + std::to_string(threads);
+        EXPECT_TRUE(bitwise_equal(y, want.y)) << "y " << where;
+        EXPECT_TRUE(bitwise_equal(dx, want.dx)) << "dX " << where;
+        EXPECT_TRUE(bitwise_equal(conv->weight().grad, want_dw))
+            << "dW " << where;
+        if (bias) {
+          Tensor want_db(want.db.shape());
+          ops::add_inplace(want_db, want.db);
+          EXPECT_TRUE(bitwise_equal(conv->params()[1]->grad, want_db))
+              << "db " << where;
+        }
+      }
+    }
+  }
+  pool.set_num_threads(restore);
 }
 
 TEST(BatchNorm2d, NormalizesPerChannel) {

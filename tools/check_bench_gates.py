@@ -11,7 +11,8 @@ boolean gates true ("bitwise_match" unless named otherwise):
     gemm_packed             packed-panel GEMM == unpacked blocked GEMM
     gemm_prepacked          cached prepacked weight panels == fresh pack,
                             and one repack per weight version
-    conv_direct             direct 3x3 conv == im2col route
+    conv_direct             fused conv training step (y, dX, dW, bias
+                            grad) == im2col -> GEMM -> col2im route
     eval_trials             trial-parallel noisy eval == sequential oracle
     pulse_mvm               fused pulse sweep == per-pulse reference
     pulse_mvm_device_model  same, with read noise / ADC / variation on
@@ -223,9 +224,10 @@ TRAJECTORY = [
     ("gemm_prepacked", None, "pack_overhead_ms", "pack overhead (ms)"),
     ("gemm_prepacked", None, "speedup_cached_vs_cold_1t",
      "cached/cold pack (x)"),
-    ("conv_direct", None, "gflops_im2col_1t", "conv im2col 1t"),
-    ("conv_direct", None, "gflops_direct_1t", "conv direct 1t"),
-    ("conv_direct", None, "speedup_direct_1t", "direct/im2col 1t (x)"),
+    ("conv_direct", None, "gflops_reference_1t", "conv step im2col 1t"),
+    ("conv_direct", None, "gflops_fused_1t", "conv step fused 1t"),
+    ("conv_direct", None, "fused_over_reference_1t",
+     "conv step fused/im2col time 1t"),
     ("gemm_binary", None, "gflops_binary_cached_1t", "binary mvm cached 1t"),
     ("gemm_binary", None, "speedup_binary_vs_float_1t",
      "binary/float packed 1t (x)"),

@@ -187,8 +187,7 @@ struct HarnessConfig {
   std::size_t gemm_n = 512;        // acceptance size: 512×512 GEMM paths
   std::size_t mvm_out = 512, mvm_in = 512, mvm_batch = 16;
   // gemm_binary section: full acceptance shape even under --smoke (the
-  // XNOR/popcount path is sub-ms there, and the small-k smoke shape would
-  // not exercise the ZMM-resident hot tiers).
+  // level-code route is sub-ms there, and the VGG9 rows are fixed shapes).
   std::size_t bin_out = 512, bin_in = 512, bin_batch = 16;
   std::size_t pulse_out = 64, pulse_in = 256, pulse_batch = 16, pulses = 8;
   std::size_t eval_samples = 2048, eval_trials = 16;  // noisy-eval throughput
@@ -607,49 +606,52 @@ Json bench_pulse_mvm(const HarnessConfig& hc, std::size_t pulses,
   return out;
 }
 
-/// Bit-packed XNOR/popcount MVM vs the cached float-panel route over the
-/// same ±1 weight and on-grid activations (DESIGN.md §8), with four hard
-/// gates: the binary result must equal the float oracle bitwise, the
-/// dispatched micro-kernel must equal the scalar reference bitwise, the
-/// dispatched A-side encoders (pack_binary_a, and level codes then planes)
-/// must equal the scalar encoder bitwise, and a BinaryPanelCache
-/// must pack exactly once per weight version (the serving steady state
-/// re-packs nothing).
+/// Level-code binary MVM vs the cached float-panel route over the same ±1
+/// weight and on-grid activations (DESIGN.md §8), with three hard gates: the
+/// binary result must equal the float oracle bitwise and the dispatched
+/// entry must equal the scalar reference bitwise (bitwise_match, on the
+/// acceptance shape and on every VGG9 eval shape), the dispatched
+/// float→code encoder must equal the scalar encoder (encoder_match), and a
+/// BinaryPanelCache must pack exactly once per weight version (the serving
+/// steady state re-packs nothing). The vgg9_shapes rows time the kernel
+/// alone (A already codes, resp. floats) on the six distinct binary-route
+/// shapes of perfbench's eval model (width 16, 16×16 images, batch 8),
+/// conv rows stored NCHW as QuantConv2d stores them.
 Json bench_gemm_binary(const HarnessConfig& hc, std::size_t pool_threads,
                        bool* gate_ok) {
   const std::size_t m = hc.bin_batch, n = hc.bin_out, k = hc.bin_in;
   const std::size_t flops = 2 * m * n * k;
-  const Tensor w = random_binary(n, k, 21);
-  // Snap random activations onto the 9-level QuantTanh grid.
-  Tensor a = random_tensor({m, k}, 22);
-  for (std::size_t i = 0; i < a.numel(); ++i) {
-    const int lvl = static_cast<int>((a[i] + 1.0f) * 4.0f + 0.5f);
-    a[i] = static_cast<float>(lvl < 0 ? 0 : (lvl > 8 ? 8 : lvl)) * 0.25f - 1.0f;
-  }
+  // Random ±1 weight and random activations snapped onto the 9-level grid.
+  auto operands = [](std::size_t rows, std::size_t cols, std::size_t depth,
+                     std::uint64_t seed, Tensor* w, Tensor* a) {
+    *w = random_binary(cols, depth, seed);
+    *a = random_tensor({rows, depth}, seed + 1);
+    for (std::size_t i = 0; i < a->numel(); ++i) {
+      const int lvl = static_cast<int>(((*a)[i] + 1.0f) * 4.0f + 0.5f);
+      (*a)[i] =
+          static_cast<float>(lvl < 0 ? 0 : (lvl > 8 ? 8 : lvl)) * 0.25f - 1.0f;
+    }
+  };
+  Tensor w, a;
+  operands(m, n, k, 21, &w, &a);
   Tensor c_float({m, n}), c_bin({m, n});
   ThreadPool& pool = ThreadPool::instance();
 
   const gemm::PackedB fpanels =
       gemm::prepack_b_t(n, k, std::as_const(w).data(), k);
-  const gemm::PackedBinaryB bwords =
+  const gemm::PackedBinaryB bsigns =
       gemm::prepack_binary_b_t(n, k, std::as_const(w).data(), k);
-  std::vector<std::uint64_t> pa(gemm::packed_binary_a_words(m, k));
-
-  // Encoder gate: the dispatched encoders against the scalar reference.
-  bool encoder_match = true;
   std::vector<std::uint8_t> codes(m * k);
+
+  // Encoder gate: the dispatched float→code pass against the scalar one.
+  bool encoder_match = true;
   {
-    std::vector<std::uint64_t> pa_scalar(pa.size()), pa_codes(pa.size());
+    std::vector<std::uint8_t> codes_scalar(m * k);
     encoder_match =
-        gemm::pack_binary_a(m, k, a.data(), k, pa.data()) &&
-        gemm::pack_binary_a_with(gemm::binary_kernel_scalar(), m, k, a.data(),
-                                 k, pa_scalar.data()) &&
         gemm::binary_grid_codes(a.data(), m * k, codes.data()) &&
-        pa == pa_scalar;
-    if (encoder_match) {
-      gemm::pack_binary_codes(m, k, codes.data(), k, pa_codes.data());
-      encoder_match = pa_codes == pa_scalar;
-    }
+        gemm::binary_kernel_scalar().grid_codes(a.data(), m * k,
+                                                codes_scalar.data()) &&
+        codes == codes_scalar;
     if (!encoder_match) {
       std::fprintf(stderr,
                    "gemm_binary GATE FAILURE: dispatched encoder '%s' diverged "
@@ -660,31 +662,44 @@ Json bench_gemm_binary(const HarnessConfig& hc, std::size_t pool_threads,
   }
 
   bool match = true;
-  auto check = [&](const char* when) {
-    gemm::gemm_prepacked(m, n, k, a.data(), k, fpanels.panels.data(),
-                         c_float.data(), n);
-    if (!gemm::pack_binary_a(m, k, a.data(), k, pa.data())) {
+  // One shape's gate: codes pass + dispatched kernel == float oracle, and
+  // dispatched == scalar entry, in the layout `out` describes.
+  auto gate = [&](const char* when, std::size_t rows, const Tensor& x,
+                  const gemm::PackedBinaryB& B, const float* oracle_rows,
+                  std::uint8_t* xcodes, const gemm::BinaryOut& out,
+                  float* scalar) {
+    const std::size_t cols = B.n, depth = B.k;
+    if (!gemm::binary_grid_codes(x.data(), rows * depth, xcodes)) {
       std::fprintf(stderr,
                    "gemm_binary GATE FAILURE: on-grid activations rejected by "
-                   "pack_binary_a (%s)\n", when);
+                   "binary_grid_codes (%s)\n", when);
       match = false;
       *gate_ok = false;
       return;
     }
-    gemm::gemm_binary(m, n, k, pa.data(), bwords, c_bin.data(), n);
-    if (std::memcmp(c_bin.data(), c_float.data(), m * n * sizeof(float)) !=
-        0) {
+    gemm::gemm_binary(rows, xcodes, depth, B, out);
+    bool same = true;
+    for (std::size_t i = 0; i < rows && same; ++i)
+      for (std::size_t j = 0; j < cols; ++j) {
+        const float want = oracle_rows[i * cols + j];
+        const float have = out.row(i)[j * out.col_stride];
+        if (std::memcmp(&want, &have, sizeof(float)) != 0) {
+          same = false;
+          break;
+        }
+      }
+    if (!same) {
       std::fprintf(stderr,
-                   "gemm_binary GATE FAILURE: XNOR/popcount path diverged "
-                   "from the float oracle bitwise (%s)\n", when);
+                   "gemm_binary GATE FAILURE: level-code route diverged from "
+                   "the float oracle bitwise (%s)\n", when);
       match = false;
       *gate_ok = false;
     }
-    Tensor c_scalar({m, n});
-    gemm::gemm_binary_with(gemm::binary_kernel_scalar(), m, n, k, pa.data(),
-                           bwords, c_scalar.data(), n);
-    if (std::memcmp(c_bin.data(), c_scalar.data(), m * n * sizeof(float)) !=
-        0) {
+    gemm::BinaryOut scalar_out = out;
+    scalar_out.c = scalar;
+    gemm::gemm_binary_with(gemm::binary_kernel_scalar(), rows, xcodes, depth,
+                           B, scalar_out);
+    if (std::memcmp(out.c, scalar, rows * cols * sizeof(float)) != 0) {
       std::fprintf(stderr,
                    "gemm_binary GATE FAILURE: dispatched kernel '%s' diverged "
                    "from the scalar reference bitwise (%s)\n",
@@ -692,6 +707,13 @@ Json bench_gemm_binary(const HarnessConfig& hc, std::size_t pool_threads,
       match = false;
       *gate_ok = false;
     }
+  };
+  auto check = [&](const char* when) {
+    gemm::gemm_prepacked(m, n, k, a.data(), k, fpanels.panels.data(),
+                         c_float.data(), n);
+    Tensor c_scalar({m, n});
+    gate(when, m, a, bsigns, c_float.data(), codes.data(),
+         gemm::BinaryOut::rows(c_bin.data(), n), c_scalar.data());
   };
 
   // Cache semantics gate: one binary pack per weight version, zero on hits.
@@ -720,38 +742,84 @@ Json bench_gemm_binary(const HarnessConfig& hc, std::size_t pool_threads,
     }
   }
 
+  const gemm::BinaryOut rows_out = gemm::BinaryOut::rows(c_bin.data(), n);
   pool.set_num_threads(1);
   check("1 thread");
   const double t_float_1t = time_best(hc.reps, [&] {
     gemm::gemm_prepacked(m, n, k, a.data(), k, fpanels.panels.data(),
                          c_float.data(), n);
   });
-  // Cold: weight words re-packed every call (what a cache miss costs).
+  // Cold: weight signs re-packed every call (what a cache miss costs).
   const double t_cold_1t = time_best(hc.reps, [&] {
     const gemm::PackedBinaryB fresh =
         gemm::prepack_binary_b_t(n, k, std::as_const(w).data(), k);
-    (void)gemm::pack_binary_a(m, k, a.data(), k, pa.data());
-    gemm::gemm_binary(m, n, k, pa.data(), fresh, c_bin.data(), n);
+    (void)gemm::binary_grid_codes(a.data(), m * k, codes.data());
+    gemm::gemm_binary(m, codes.data(), k, fresh, rows_out);
   });
-  // Cached: the serving steady state — per-request A encode + kernel only.
+  // Cached: the serving steady state — per-request codes pass + kernel.
   const double t_cached_1t = time_best(hc.reps, [&] {
-    (void)gemm::pack_binary_a(m, k, a.data(), k, pa.data());
-    gemm::gemm_binary(m, n, k, pa.data(), bwords, c_bin.data(), n);
+    (void)gemm::binary_grid_codes(a.data(), m * k, codes.data());
+    gemm::gemm_binary(m, codes.data(), k, bsigns, rows_out);
   });
   const double t_kernel_1t = time_best(hc.reps, [&] {
-    gemm::gemm_binary(m, n, k, pa.data(), bwords, c_bin.data(), n);
+    gemm::gemm_binary(m, codes.data(), k, bsigns, rows_out);
   });
-  // The A-side encode as the conv route runs it: one validating pass to
-  // level codes, then planes from the codes (the patch gather between the
-  // two is not timed). pack_binary_a, the linear layer's encode, runs the
-  // same two steps row by row.
+  // The A-side step alone: the validating float→code pass (the conv
+  // route's patch gather after it is not timed).
   const double t_pack_1t = time_best(hc.reps, [&] {
     (void)gemm::binary_grid_codes(a.data(), m * k, codes.data());
-    gemm::pack_binary_codes(m, k, codes.data(), k, pa.data());
   });
-  const double t_pack_linear_1t = time_best(hc.reps, [&] {
-    (void)gemm::pack_binary_a(m, k, a.data(), k, pa.data());
-  });
+
+  // The VGG9 eval shapes: level-code kernel vs the packed float GEMM.
+  struct VggShape {
+    const char* name;
+    std::size_t rows, cols, depth, pixels;  // pixels 0: row-major (fc)
+  };
+  const VggShape vgg[] = {{"conv2", 2048, 16, 144, 256},
+                          {"conv3", 512, 32, 144, 64},
+                          {"conv4", 512, 32, 288, 64},
+                          {"conv5", 128, 64, 288, 16},
+                          {"conv6_conv7", 128, 64, 576, 16},
+                          {"fc1", 8, 128, 256, 0}};
+  Json vgg_rows = Json::array();
+  for (std::size_t s = 0; s < sizeof(vgg) / sizeof(vgg[0]); ++s) {
+    const VggShape& v = vgg[s];
+    Tensor vw, va;
+    operands(v.rows, v.cols, v.depth, 100 + 2 * s, &vw, &va);
+    const gemm::PackedB vf =
+        gemm::prepack_b_t(v.cols, v.depth, std::as_const(vw).data(), v.depth);
+    const gemm::PackedBinaryB vb =
+        gemm::prepack_binary_b_t(v.cols, v.depth, std::as_const(vw).data(),
+                                 v.depth);
+    std::vector<std::uint8_t> vcodes(v.rows * v.depth);
+    Tensor vfloat({v.rows, v.cols}), vbin({v.rows * v.cols}),
+        vscalar({v.rows * v.cols});
+    const gemm::BinaryOut vout =
+        v.pixels ? gemm::BinaryOut::nchw(vbin.data(), v.cols, v.pixels)
+                 : gemm::BinaryOut::rows(vbin.data(), v.cols);
+    gemm::gemm_prepacked(v.rows, v.cols, v.depth, va.data(), v.depth,
+                         vf.panels.data(), vfloat.data(), v.cols);
+    gate(v.name, v.rows, va, vb, vfloat.data(), vcodes.data(), vout,
+         vscalar.data());
+    const double tf = time_best(hc.reps, [&] {
+      gemm::gemm_prepacked(v.rows, v.cols, v.depth, va.data(), v.depth,
+                           vf.panels.data(), vfloat.data(), v.cols);
+    });
+    const double tb = time_best(hc.reps, [&] {
+      gemm::gemm_binary(v.rows, vcodes.data(), v.depth, vb, vout);
+    });
+    Json row = Json::object();
+    row.set("layer", v.name);
+    row.set("rows", v.rows);
+    row.set("out", v.cols);
+    row.set("in", v.depth);
+    row.set("layout", v.pixels ? "nchw" : "rows");
+    row.set("float_packed_1t_us", tf * 1e6);
+    row.set("binary_1t_us", tb * 1e6);
+    row.set("speedup_binary_vs_float_1t", tf / tb);
+    vgg_rows.push_back(std::move(row));
+  }
+
   pool.set_num_threads(pool_threads);
   check("pool threads");
   const double t_float_mt = time_best(hc.reps, [&] {
@@ -759,8 +827,8 @@ Json bench_gemm_binary(const HarnessConfig& hc, std::size_t pool_threads,
                          c_float.data(), n);
   });
   const double t_cached_mt = time_best(hc.reps, [&] {
-    (void)gemm::pack_binary_a(m, k, a.data(), k, pa.data());
-    gemm::gemm_binary(m, n, k, pa.data(), bwords, c_bin.data(), n);
+    (void)gemm::binary_grid_codes(a.data(), m * k, codes.data());
+    gemm::gemm_binary(m, codes.data(), k, bsigns, rows_out);
   });
 
   Json out = Json::object();
@@ -777,7 +845,6 @@ Json bench_gemm_binary(const HarnessConfig& hc, std::size_t pool_threads,
   out.set("binary_cached_1t_ms", t_cached_1t * 1e3);
   out.set("binary_kernel_only_1t_ms", t_kernel_1t * 1e3);
   out.set("t_pack_1t", t_pack_1t * 1e6);  // microseconds
-  out.set("t_pack_linear_1t", t_pack_linear_1t * 1e6);
   out.set("pack_share_1t", t_pack_1t / (t_pack_1t + t_kernel_1t));
   out.set("float_packed_mt_ms", t_float_mt * 1e3);
   out.set("binary_cached_mt_ms", t_cached_mt * 1e3);
@@ -786,6 +853,7 @@ Json bench_gemm_binary(const HarnessConfig& hc, std::size_t pool_threads,
   out.set("speedup_binary_vs_float_1t", t_float_1t / t_cached_1t);
   out.set("speedup_binary_vs_float_mt", t_float_mt / t_cached_mt);
   out.set("speedup_cached_vs_cold_1t", t_cold_1t / t_cached_1t);
+  out.set("vgg9_shapes", std::move(vgg_rows));
   return out;
 }
 
@@ -987,7 +1055,7 @@ int run_harness(const HarnessConfig& hc) {
   doc.set("conv_direct", bench_conv_direct(hc, pool_threads, &gate_ok));
   pool.set_num_threads(pool_threads);
 
-  std::printf("[gemm binary] %zux%zu batch=%zu kernel=%s (xnor/popcount vs "
+  std::printf("[gemm binary] %zux%zu batch=%zu kernel=%s (level codes vs "
               "float panels, bitwise gate)...\n",
               hc.bin_out, hc.bin_in, hc.bin_batch,
               gemm::binary_kernel_name());

@@ -185,12 +185,12 @@ Json run_scenario(const char* name, const serve::Backend& backend,
   const bool zero_packs = steady_packs == 0 && steady_bins == 0;
   if (!zero_packs)
     gates->fail(name, "steady-state run packed or binarized weights");
-  // Same amortization contract for the binary sign words (DESIGN.md §8):
-  // A-side encodes are per-request by design, but the cached weight words
-  // must never be rebuilt in steady state.
+  // Same amortization contract for the packed binary signs (DESIGN.md §8):
+  // A-side code passes are per-request by design, but the cached weight
+  // signs must never be rebuilt in steady state.
   const bool zero_bpacks = steady_bpacks == 0;
   if (!zero_bpacks)
-    gates->fail(name, "steady-state run re-packed binary sign words");
+    gates->fail(name, "steady-state run re-packed binary signs");
   // Stochastic configs must fuse their micro-batches on per-sample streams
   // (a regression to unit batches would forfeit the whole batching win).
   // Queue batch sizes are timing-dependent, so the gate compares execution

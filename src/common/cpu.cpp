@@ -10,8 +10,8 @@
 namespace gbo {
 namespace {
 
-// Raw CPUID + XGETBV rather than __builtin_cpu_supports: the vpopcntdq
-// string is not recognized by every toolchain this repo supports, and the
+// Raw CPUID + XGETBV rather than __builtin_cpu_supports: not every
+// toolchain this repo supports recognizes every feature string, and the
 // OS-enablement half (XCR0) must be checked explicitly anyway.
 CpuFeatures probe_cpu() {
   CpuFeatures f;
@@ -31,7 +31,7 @@ CpuFeatures probe_cpu() {
     f.avx2 = os_avx && ((ebx >> 5) & 1);
     f.avx512f = os_avx512 && ((ebx >> 16) & 1);
     f.avx512bw = f.avx512f && ((ebx >> 30) & 1);
-    f.avx512vpopcntdq = f.avx512f && ((ecx >> 14) & 1);
+    f.avx512vnni = f.avx512f && ((ecx >> 11) & 1);
   }
 #endif
   return f;
@@ -55,7 +55,7 @@ std::string cpu_feature_string() {
   if (cpu().fma) s += "fma ";
   if (cpu().avx512f) s += "avx512f ";
   if (cpu().avx512bw) s += "avx512bw ";
-  if (cpu().avx512vpopcntdq) s += "avx512vpopcntdq ";
+  if (cpu().avx512vnni) s += "avx512vnni ";
 #if defined(__ARM_NEON)
   s += "neon ";
 #endif

@@ -1,8 +1,9 @@
 // Runtime CPU feature probe shared by the SIMD kernel registries: the
-// XNOR/popcount binary MVM (tensor/gemm_binary.hpp, DESIGN.md §8) and the
-// batched Box–Muller transform (common/rng.hpp, DESIGN.md §12). Each
-// registry lists the entries this CPU can run and dispatches the last one;
-// GBO_FORCE_SCALAR_KERNELS=1 pins every registry to its scalar entry.
+// int8 code-domain binary MVM (tensor/gemm_binary.hpp, DESIGN.md §8), the
+// PLA snap (encoding/pla.cpp) and the batched Box–Muller transform
+// (common/rng.hpp, DESIGN.md §12). Each registry lists the entries this
+// CPU can run and dispatches the last one; GBO_FORCE_SCALAR_KERNELS=1 pins
+// every registry to its scalar entry.
 #pragma once
 
 #include <string>
@@ -21,7 +22,7 @@ struct CpuFeatures {
   bool fma = false;
   bool avx512f = false;
   bool avx512bw = false;
-  bool avx512vpopcntdq = false;
+  bool avx512vnni = false;  // CPUID.7.0:ECX[11], vpdpbusd
 };
 
 /// Probed once per process.
@@ -31,7 +32,7 @@ const CpuFeatures& cpu();
 bool force_scalar_kernels();
 
 /// The detected features as a space-separated string, e.g.
-/// "avx2 fma avx512f avx512bw avx512vpopcntdq" ("neon" on ARM NEON builds).
+/// "avx2 fma avx512f avx512bw avx512vnni" ("neon" on ARM NEON builds).
 std::string cpu_feature_string();
 
 }  // namespace gbo

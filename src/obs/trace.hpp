@@ -3,7 +3,7 @@
 // The serving runtime makes dozens of invisible decisions per request —
 // admission, eviction, deadline shed, ladder level, retry/breaker routing,
 // fusion mode, binary-vs-float kernel dispatch — and the kernel layer adds
-// its own (packed GEMM, XNOR/popcount MVM, pulse encode). This module gives
+// its own (packed GEMM, level-code binary MVM, pulse encode). This module gives
 // every one of them a low-overhead event channel:
 //
 //   * per-thread, fixed-capacity event buffers (TraceRing): the owning
@@ -69,10 +69,10 @@ enum class EventType : std::uint8_t {
   kStall = 12,       // span: injected stall + retry backoff, arg=slept us
   // ---- timing: kernel profiling ---------------------------------------
   kGemm = 13,         // span: packed-panel GEMM, arg=2*m*n*k
-  kBinaryMvm = 14,    // span: XNOR/popcount MVM, arg=2*m*n*k
+  kBinaryMvm = 14,    // span: level-code binary MVM, arg=2*m*n*k
   kPulseEncode = 15,  // span: pulse-train encode, arg=pulses encoded
   kArenaAlloc = 16,   // instant: arena system alloc, arg=bytes
-  kBinaryPack = 17,   // span: A-side thermometer encode, arg=lanes encoded
+  kBinaryPack = 17,   // span: A-side level-code pass, arg=lanes coded
   kPulseMvm = 18,     // span: fused pulse-level crossbar MVM, id=rows,
                       // a=pulses, arg=rows*outputs*in*pulses
   kCount

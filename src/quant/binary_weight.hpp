@@ -26,7 +26,7 @@ void binarize_into(const Tensor& latent, bool scaled, float* out,
 /// The digital scale binarize uses when `scaled`: mean |w| over the layer
 /// (double accumulation; 1 for empty or all-zero weights). Exposed so the
 /// quant layers can run the MVM over the unscaled ±1 matrix and apply the
-/// scale as a separate epilogue — the factorization the XNOR/popcount
+/// scale as a separate epilogue — the factorization the level-code binary
 /// kernel path requires (DESIGN.md §8) — while computing the identical
 /// scale value everywhere.
 float binarize_scale(const Tensor& latent);

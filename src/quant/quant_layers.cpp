@@ -34,6 +34,15 @@ void scale_output(Tensor& out, bool scaled, float scale) {
   for (std::size_t i = 0; i < out.numel(); ++i) p[i] *= scale;
 }
 
+/// n bytes of scratch from the context's arena, or owned by `own` when
+/// the context has none.
+std::uint8_t* scratch_bytes(gbo::nn::EvalContext& ctx, std::size_t n,
+                            std::unique_ptr<std::uint8_t[]>& own) {
+  if (ctx.arena) return ctx.arena->alloc_u8(n);
+  own.reset(new std::uint8_t[n]);
+  return own.get();
+}
+
 }  // namespace
 
 void MvmNoiseHook::infer_output(Tensor& /*out*/, Rng& /*rng*/) const {
@@ -60,13 +69,13 @@ bool hooks_support_row_streams(const gbo::nn::Module& m) {
 void BinaryPanelCache::get(const Tensor& latent, bool scaled, std::size_t n,
                            std::size_t k, bool want_panels, const float** bw,
                            const float** panels,
-                           const gbo::gemm::PackedBinaryB** bwords,
+                           const gbo::gemm::PackedBinaryB** bsigns,
                            float* scale, std::size_t taps) const {
   gate_.ensure(latent.version(), [&] {
     bw_.resize(latent.numel());
-    // Unscaled ±1 signs: the MVM runs over these (float panels and binary
-    // words alike) and the digital scale is applied as an epilogue, so the
-    // XNOR/popcount route stays bitwise equal to the float route.
+    // Unscaled ±1 signs: the MVM runs over these (float panels and int8
+    // signs alike) and the digital scale is applied as an epilogue, so the
+    // level-code route stays bitwise equal to the float route.
     binarize_into(latent, /*scaled=*/false, bw_.data());
     scale_ = scaled ? binarize_scale(latent) : 1.0f;
     if (want_panels) {
@@ -80,15 +89,15 @@ void BinaryPanelCache::get(const Tensor& latent, bool scaled, std::size_t n,
         for (std::size_t c = 0; c < ch; ++c)
           for (std::size_t t = 0; t < taps; ++t)
             tap_major[j * k + t * ch + c] = bw_[j * k + c * taps + t];
-      bwords_ = gemm::prepack_binary_b_t(n, k, tap_major.data(), k);
+      bsigns_ = gemm::prepack_binary_b_t(n, k, tap_major.data(), k);
     } else {
-      bwords_ = gemm::prepack_binary_b_t(n, k, bw_.data(), k);
+      bsigns_ = gemm::prepack_binary_b_t(n, k, bw_.data(), k);
     }
     rebuilds_.fetch_add(1, std::memory_order_relaxed);
   });
   *bw = bw_.data();
   *panels = want_panels ? panels_.data() : nullptr;
-  *bwords = &bwords_;
+  *bsigns = &bsigns_;
   *scale = scale_;
 }
 
@@ -134,17 +143,17 @@ Tensor QuantConv2d::backward(const Tensor& grad_out) {
 
 Tensor QuantConv2d::infer_mvm(const Tensor& x, gbo::nn::EvalContext& ctx,
                               const float* bw, const float* panels,
-                              const gbo::gemm::PackedBinaryB& bwords) const {
-  // XNOR/popcount route (DESIGN.md §8): every im2col patch value is either
-  // an input element or zero padding (level 4), so one validating pass over
-  // the NCHW input turns it into level codes, and the patches are gathered
-  // and bit-plane encoded from those bytes — each element is checked once,
-  // not once per patch. The patches use the tap-major lane order the cache
-  // packed the sign words in. Off-grid inputs (the raw-image stem,
-  // PLA-requantized activations) take the float panel route — bitwise equal
-  // for on-grid data, so the dispatch can never change an output bit.
+                              const gbo::gemm::PackedBinaryB& bsigns) const {
+  // Level-code route (DESIGN.md §8): every patch value is either an input
+  // element or zero padding (level 4), so one validating pass over the NCHW
+  // input turns it into level codes and the patches are gathered from those
+  // bytes — each element is checked once, not once per patch. The patches
+  // use the tap-major lane order the cache packed the signs in, and the
+  // kernel stores its output straight into NCHW. Off-grid inputs (the
+  // raw-image stem, non-dyadic PLA) take the float panel route — bitwise
+  // equal for on-grid data, so the dispatch can never change an output bit.
   if (x.ndim() == 4 && x.dim(1) == geom_.in_c && x.dim(2) == geom_.in_h &&
-      x.dim(3) == geom_.in_w && !bwords.empty()) {
+      x.dim(3) == geom_.in_w && !bsigns.empty()) {
     const std::size_t batch = x.dim(0);
     const std::size_t oh = geom_.out_h(), ow = geom_.out_w();
     const std::size_t m = batch * oh * ow;
@@ -153,35 +162,12 @@ Tensor QuantConv2d::infer_mvm(const Tensor& x, gbo::nn::EvalContext& ctx,
     // The validating pass decides the route before anything else is
     // allocated (an off-grid input usually fails in its first chunk).
     std::unique_ptr<std::uint8_t[]> codes_own;
-    std::uint8_t* codes;
-    if (ctx.arena) {
-      codes = ctx.arena->alloc_u8(x.numel());
-    } else {
-      codes_own.reset(new std::uint8_t[x.numel()]);
-      codes = codes_own.get();
-    }
+    std::uint8_t* codes = scratch_bytes(ctx, x.numel(), codes_own);
     if (gemm::binary_grid_codes(x.data(), x.numel(), codes)) {
       // The padded NHWC copy and the patch codes share one byte buffer.
       const std::size_t hwc = gbo::padded_hwc_bytes(batch, geom_);
-      const std::size_t pa_words = gemm::packed_binary_a_words(m, k);
       std::unique_ptr<std::uint8_t[]> bytes_own;
-      Tensor rows_own;
-      std::vector<std::uint64_t> pa_own;
-      std::uint8_t* bytes;
-      float* rows;
-      std::uint64_t* pa;
-      if (ctx.arena) {
-        bytes = ctx.arena->alloc_u8(hwc + m * k);
-        rows = ctx.arena->alloc_floats(m * out_c_);
-        pa = ctx.arena->alloc_words(pa_words);
-      } else {
-        bytes_own.reset(new std::uint8_t[hwc + m * k]);
-        bytes = bytes_own.get();
-        rows_own = Tensor({m, out_c_});
-        rows = rows_own.data();
-        pa_own.resize(pa_words);
-        pa = pa_own.data();
-      }
+      std::uint8_t* bytes = scratch_bytes(ctx, hwc + m * k, bytes_own);
       {
         GBO_TRACE_SPAN(obs::EventType::kBinaryPack, m,
                        static_cast<std::uint16_t>(k < 65535 ? k : 65535),
@@ -189,11 +175,10 @@ Tensor QuantConv2d::infer_mvm(const Tensor& x, gbo::nn::EvalContext& ctx,
         constexpr std::uint8_t kZeroLevel = 4;  // 0.0f = (2·4 - 8) / 8
         gbo::im2col_codes_into(codes, batch, geom_, kZeroLevel, bytes,
                                bytes + hwc);
-        gemm::pack_binary_codes(m, k, bytes + hwc, k, pa);
       }
-      gemm::gemm_binary(m, out_c_, k, pa, bwords, rows, out_c_);
       Tensor out = ctx.make({batch, out_c_, oh, ow});
-      gbo::rows_to_nchw_into(rows, batch, out_c_, oh, ow, out.data());
+      gemm::gemm_binary(m, bytes + hwc, k, bsigns,
+                        gemm::BinaryOut::nchw(out.data(), out_c_, oh * ow));
       return out;
     }
   }
@@ -202,20 +187,20 @@ Tensor QuantConv2d::infer_mvm(const Tensor& x, gbo::nn::EvalContext& ctx,
 
 Tensor QuantConv2d::infer(const Tensor& x, gbo::nn::EvalContext& ctx) const {
   // Frozen-weight cache (DESIGN.md §6): the binarized copy, its packed
-  // float panels, and its packed binary sign words are rebuilt only when
+  // float panels, and its packed int8 signs are rebuilt only when
   // the latent weight's version moves, so steady-state serving neither
   // re-binarizes nor re-packs. Binarization and packing are deterministic,
   // so a cache hit is bitwise identical to the fresh path (and to
   // forward()).
   const float* bw;
   const float* panels;
-  const gemm::PackedBinaryB* bwords;
+  const gemm::PackedBinaryB* bsigns;
   float scale;
   cache_.get(weight_.value, scaled_, out_c_, geom_.patch_len(),
-             /*want_panels=*/true, &bw, &panels, &bwords, &scale,
+             /*want_panels=*/true, &bw, &panels, &bsigns, &scale,
              /*taps=*/geom_.k * geom_.k);
   if (!hook_) {
-    Tensor out = infer_mvm(x, ctx, bw, panels, *bwords);
+    Tensor out = infer_mvm(x, ctx, bw, panels, *bsigns);
     scale_output(out, scaled_, scale);
     return out;
   }
@@ -223,7 +208,7 @@ Tensor QuantConv2d::infer(const Tensor& x, gbo::nn::EvalContext& ctx) const {
   Tensor xin = ctx.make(x.shape());
   std::copy(x.data(), x.data() + x.numel(), xin.data());
   hook_->infer_input(xin, ctx.rng);
-  Tensor out = infer_mvm(xin, ctx, bw, panels, *bwords);
+  Tensor out = infer_mvm(xin, ctx, bw, panels, *bsigns);
   ctx.recycle(std::move(xin));
   scale_output(out, scaled_, scale);
   apply_output_hook(*hook_, out, ctx);
@@ -270,25 +255,26 @@ Tensor QuantLinear::backward(const Tensor& grad_out) {
 
 Tensor QuantLinear::infer_mvm(const Tensor& x, gbo::nn::EvalContext& ctx,
                               const float* bw, const float* panels,
-                              const gbo::gemm::PackedBinaryB& bwords) const {
-  // XNOR/popcount route (DESIGN.md §8): the activation matrix IS the A
-  // operand, so the on-grid check is fused into the bit-plane encode; an
-  // off-grid value aborts the encode and falls back to the float route.
-  if (x.ndim() == 2 && x.dim(1) == in_ && !bwords.empty()) {
+                              const gbo::gemm::PackedBinaryB& bsigns) const {
+  // Level-code route (DESIGN.md §8): the activation matrix, validated into
+  // level codes, IS the A operand; an off-grid value aborts the pass and
+  // falls back to the float route.
+  if (x.ndim() == 2 && x.dim(1) == in_ && !bsigns.empty()) {
     const std::size_t batch = x.dim(0);
     gbo::ArenaFrame frame(ctx.arena);
-    std::vector<std::uint64_t> pa_own;
-    std::uint64_t* pa;
-    const std::size_t words = gemm::packed_binary_a_words(batch, in_);
-    if (ctx.arena) {
-      pa = ctx.arena->alloc_words(words);
-    } else {
-      pa_own.resize(words);
-      pa = pa_own.data();
+    std::unique_ptr<std::uint8_t[]> codes_own;
+    std::uint8_t* codes = scratch_bytes(ctx, x.numel(), codes_own);
+    bool on_grid;
+    {
+      GBO_TRACE_SPAN(obs::EventType::kBinaryPack, batch,
+                     static_cast<std::uint16_t>(in_ < 65535 ? in_ : 65535),
+                     x.numel());
+      on_grid = gemm::binary_grid_codes(x.data(), x.numel(), codes);
     }
-    if (gemm::pack_binary_a(batch, in_, x.data(), in_, pa)) {
+    if (on_grid) {
       Tensor y = ctx.make({batch, out_});
-      gemm::gemm_binary(batch, out_, in_, pa, bwords, y.data(), out_);
+      gemm::gemm_binary(batch, codes, in_, bsigns,
+                        gemm::BinaryOut::rows(y.data(), out_));
       return y;
     }
   }
@@ -300,13 +286,13 @@ Tensor QuantLinear::infer(const Tensor& x, gbo::nn::EvalContext& ctx) const {
   // the shapes the layer's dispatch rule would pack.
   const float* bw;
   const float* panels;
-  const gemm::PackedBinaryB* bwords;
+  const gemm::PackedBinaryB* bsigns;
   float scale;
   cache_.get(weight_.value, scaled_, out_, in_,
-             gemm::panels_for_weight(out_, in_), &bw, &panels, &bwords,
+             gemm::panels_for_weight(out_, in_), &bw, &panels, &bsigns,
              &scale);
   if (!hook_) {
-    Tensor out = infer_mvm(x, ctx, bw, panels, *bwords);
+    Tensor out = infer_mvm(x, ctx, bw, panels, *bsigns);
     scale_output(out, scaled_, scale);
     return out;
   }
@@ -314,7 +300,7 @@ Tensor QuantLinear::infer(const Tensor& x, gbo::nn::EvalContext& ctx) const {
   Tensor xin = ctx.make(x.shape());
   std::copy(x.data(), x.data() + x.numel(), xin.data());
   hook_->infer_input(xin, ctx.rng);
-  Tensor out = infer_mvm(xin, ctx, bw, panels, *bwords);
+  Tensor out = infer_mvm(xin, ctx, bw, panels, *bsigns);
   ctx.recycle(std::move(xin));
   scale_output(out, scaled_, scale);
   apply_output_hook(*hook_, out, ctx);

@@ -5,7 +5,7 @@
 // crossbar would physically store), the per-layer digital scale is applied
 // as a separate output epilogue, and the backward pass applies the STE.
 // Factoring the scale out of the MVM is what lets the stateless infer path
-// route on-grid activations through the bit-packed XNOR/popcount kernels
+// route on-grid activations through the int8 level-code kernels
 // (tensor/gemm_binary.hpp) while staying bitwise equal to forward()
 // (DESIGN.md §8).
 //
@@ -85,7 +85,7 @@ class MvmNoiseHook {
 };
 
 /// Cross-request cache of a quant layer's frozen binarized weight, its
-/// packed float panels, and its packed binary sign words, all stamped with
+/// packed float panels, and its packed int8 sign panels, all stamped with
 /// the latent weight's version counter (DESIGN.md §6): steady-state serving
 /// re-binarizes and re-packs nothing, float or binary. Concurrency comes
 /// from gemm::VersionGate (thread-safe lazy fill; the latent weight must not
@@ -104,17 +104,18 @@ class BinaryPanelCache {
   BinaryPanelCache& operator=(const BinaryPanelCache&) { return *this; }
 
   /// Unscaled (±1) binarized copy of `latent` in *bw, its digital scale in
-  /// *scale (1 when !scaled), its packed binary sign words in *bwords, and —
-  /// when `want_panels` — its packed float panels ([n, k] transposed-weight
-  /// layout) in *panels; all rebuilt only when latent.version() moved.
-  /// `want_panels` must be constant per cache (it is: the owning layer
-  /// derives it from its fixed shape). `taps` > 1 (a conv layer's k·k)
-  /// packs the sign words in the tap-major lane order of the binary conv
-  /// route (im2col_codes_into): lane tap·(k / taps) + c holds latent column
-  /// c·taps + tap. *bw and *panels keep the latent's own order.
+  /// *scale (1 when !scaled), its packed int8 signs and their row sums in
+  /// *bsigns, and — when `want_panels` — its packed float panels ([n, k]
+  /// transposed-weight layout) in *panels; all rebuilt only when
+  /// latent.version() moved. `want_panels` must be constant per cache (it
+  /// is: the owning layer derives it from its fixed shape). `taps` > 1 (a
+  /// conv layer's k·k) packs the signs in the tap-major lane order of the
+  /// binary conv route (im2col_codes_into): lane tap·(k / taps) + c holds
+  /// latent column c·taps + tap. *bw and *panels keep the latent's own
+  /// order.
   void get(const Tensor& latent, bool scaled, std::size_t n, std::size_t k,
            bool want_panels, const float** bw, const float** panels,
-           const gbo::gemm::PackedBinaryB** bwords, float* scale,
+           const gbo::gemm::PackedBinaryB** bsigns, float* scale,
            std::size_t taps = 1) const;
 
   /// Lifetime rebuild count (1 after warmup for a frozen weight).
@@ -126,7 +127,7 @@ class BinaryPanelCache {
   gbo::gemm::VersionGate gate_;
   mutable std::vector<float> bw_;
   mutable std::vector<float> panels_;
-  mutable gbo::gemm::PackedBinaryB bwords_;
+  mutable gbo::gemm::PackedBinaryB bsigns_;
   mutable float scale_ = 1.0f;
   mutable std::atomic<std::uint64_t> rebuilds_{0};
 };
@@ -175,9 +176,9 @@ class QuantConv2d : public gbo::nn::Conv2d, public Hookable {
   /// The ±1 sign matrix from the most recent forward (what the crossbar
   /// cells physically store), and the digital scale applied as a separate
   /// output epilogue (folded into the ADC reference / following BN on real
-  /// hardware). Since the XNOR/popcount PR the scale is NOT folded into
-  /// binary_weight() — the MVM runs over ±1 so the bit-packed and float
-  /// kernels agree bitwise (DESIGN.md §8).
+  /// hardware). The scale is NOT folded into binary_weight() — the MVM
+  /// runs over ±1 so the level-code and float kernels agree bitwise
+  /// (DESIGN.md §8).
   const Tensor& binary_weight() const { return binary_weight_; }
   float weight_scale() const { return weight_scale_; }
 
@@ -186,12 +187,12 @@ class QuantConv2d : public gbo::nn::Conv2d, public Hookable {
   void on_weight_grad(Tensor& grad_w) override;
 
  private:
-  /// Unscaled MVM for the stateless path: XNOR/popcount packed kernel when
-  /// every patch value is on the 9-level grid (DESIGN.md §8), the cached
+  /// Unscaled MVM for the stateless path: the int8 level-code kernel when
+  /// every input value is on the 9-level grid (DESIGN.md §8), the cached
   /// float panels otherwise — bitwise-identical routes.
   Tensor infer_mvm(const Tensor& x, gbo::nn::EvalContext& ctx,
                    const float* bw, const float* panels,
-                   const gbo::gemm::PackedBinaryB& bwords) const;
+                   const gbo::gemm::PackedBinaryB& bsigns) const;
 
   bool scaled_;
   MvmNoiseHook* hook_ = nullptr;
@@ -219,7 +220,7 @@ class QuantLinear : public gbo::nn::Linear, public Hookable {
   gbo::nn::Param& latent_weight() override { return weight_; }
 
   /// See QuantConv2d::binary_weight — ±1 signs; the digital scale is a
-  /// separate epilogue since the XNOR/popcount PR.
+  /// separate epilogue.
   const Tensor& binary_weight() const { return binary_weight_; }
   float weight_scale() const { return weight_scale_; }
 
@@ -231,7 +232,7 @@ class QuantLinear : public gbo::nn::Linear, public Hookable {
   /// See QuantConv2d::infer_mvm.
   Tensor infer_mvm(const Tensor& x, gbo::nn::EvalContext& ctx,
                    const float* bw, const float* panels,
-                   const gbo::gemm::PackedBinaryB& bwords) const;
+                   const gbo::gemm::PackedBinaryB& bsigns) const;
 
   bool scaled_;
   MvmNoiseHook* hook_ = nullptr;

@@ -50,12 +50,6 @@ double* ScratchArena::alloc_doubles(std::size_t n) {
   return reinterpret_cast<double*>(alloc_bytes(n * sizeof(double)));
 }
 
-std::uint64_t* ScratchArena::alloc_words(std::size_t n) {
-  if (n == 0) return nullptr;
-  return reinterpret_cast<std::uint64_t*>(
-      alloc_bytes(n * sizeof(std::uint64_t)));
-}
-
 std::uint8_t* ScratchArena::alloc_u8(std::size_t n) {
   if (n == 0) return nullptr;
   return reinterpret_cast<std::uint8_t*>(alloc_bytes(n));

@@ -58,9 +58,8 @@ class ScratchArena {
   /// enclosing ArenaFrame pops (or reset()). n == 0 returns nullptr.
   float* alloc_floats(std::size_t n);
   double* alloc_doubles(std::size_t n);
-  std::uint64_t* alloc_words(std::size_t n);  // bit-packed kernel operands
-  std::uint8_t* alloc_u8(std::size_t n);      // one-byte level codes
-  std::uint32_t* alloc_u32(std::size_t n);    // pulse-level input codes
+  std::uint8_t* alloc_u8(std::size_t n);    // one-byte level codes
+  std::uint32_t* alloc_u32(std::size_t n);  // pulse-level input codes
 
   /// Rewinds the bump region to empty (no frames may be live). Keeps all
   /// memory for reuse.

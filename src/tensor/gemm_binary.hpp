@@ -1,31 +1,29 @@
-// Bit-packed XNOR/popcount kernels for the binary-quantized MVM
-// (DESIGN.md §8).
+// Binary-weight MVM as an integer dot over level codes (DESIGN.md §8).
 //
 // The paper's networks are binary-weight: after binarization a weight row is
-// a sign vector, and the 9-level QuantTanh activations decompose into 8
-// thermometer bit-planes (encoding/thermometer.hpp: level l of the 9-level
-// quantizer means planes 0..l-1 carry a +1 pulse, the rest -1). Packing both
-// sides into 64-bit words turns the MVM into XOR + popcount:
+// a sign vector s ∈ {±1}^k, and every 9-level QuantTanh activation is
+// a = (2l - 8) / 8 for a level code l ∈ [0, 8] (quant/act_quant.hpp). The
+// crossbar drives level l as a thermometer train of 8 pulses, but the MVM
+// needs no bit-planes:
 //
-//   plane dot:  d_t = k - 2·popcount(a_t XOR w)      (±1 dot over k bits)
-//   recombine:  y   = (Σ_t d_t) / 8 = (8k - 2P) / 8,  P = Σ_t popcount
+//   Σ_p s_p · a_p = (2·D - 8·S) / 8,   D = Σ_p s_p · l_p,   S = Σ_p s_p
 //
-// Because every activation is a multiple of 1/4 in [-1, 1] and the weights
-// are ±1, the float kernels' products are exact sign flips and all partial
-// sums are multiples of 1/4 far below 2^24 — so the float path computes the
-// same integer-valued accumulator exactly, at any blocking or thread count.
-// (8k - 2P) / 8 is likewise exact (an integer times 0.125f). The binary path
-// is therefore BITWISE equal to the float path whenever the inputs lie on
-// the 9-level grid; the float route stays in-tree as the oracle, and the
-// quant layers fall back to it for off-grid inputs (raw images, PLA
-// re-quantized activations).
+// D is an int8 dot product (codes times ±1 signs) and S a per-weight-row
+// constant, so C[i, j] = float(2·D_ij - 8·S_j) · 0.125f. Both are exact
+// integers with |2D - 8S| <= 8k < 2^24, so the conversion and the power-of-
+// two multiply are exact too. The float kernels compute the same value
+// exactly (every product is a sign flip of a multiple of 1/4, every partial
+// sum a multiple of 1/4 far below 2^24), so this route is BITWISE equal to
+// the float route whenever the inputs lie on the 9-level grid; the float
+// route stays in-tree as the oracle, and the quant layers fall back to it
+// for off-grid inputs (raw images, non-dyadic PLA).
 //
-// Micro-kernels are selected once per process from a runtime CPUID-probed
-// registry (scalar / AVX2 nibble-LUT / AVX-512 VPOPCNTDQ with masked edge
-// tiles / NEON); every variant sums the same integer popcounts and encodes
-// activations with the same exact per-lane grid predicate, so the kernel
-// choice can never change an output bit. GBO_FORCE_SCALAR_KERNELS=1 pins the
-// scalar kernel (the CI fallback leg).
+// Kernels are selected once per process from a runtime CPUID-probed
+// registry (scalar / AVX2 vpmaddubsw+vpmaddwd / AVX-512 VNNI vpdpbusd); each
+// entry also carries the validating float→code encoder. Every variant sums
+// the same integers and evaluates the same exact grid predicate, so the
+// kernel choice can never change an output bit. GBO_FORCE_SCALAR_KERNELS=1
+// pins the scalar entry (the CI fallback leg).
 #pragma once
 
 #include <cstddef>
@@ -35,91 +33,96 @@
 
 namespace gbo::gemm {
 
-/// Thermometer bit-planes per activation: 8 pulses encode the 9-level
-/// QuantTanh grid (quant/act_quant.hpp), values (2l - 8) / 8, l in [0, 8].
-inline constexpr std::size_t kBinaryPlanes = 8;
+/// Output columns per packed sign panel (one ZMM of int32 lanes).
+inline constexpr std::size_t kBinaryPanelCols = 16;
 
-/// 64-bit words covering k lanes; padding bits are zero on BOTH operands,
-/// so they XOR to zero and never reach the popcount.
-inline std::size_t binary_words(std::size_t k) { return (k + 63) / 64; }
-
-/// Packed sign words of a binarized weight [n, k] (transposed storage, the
-/// A·Bᵀ weight layout): row j's bit p is `B[j, p] >= 0` — the exact
-/// convention of quant::binarize — at words[j·kw + p/64], bit p%64.
-struct PackedBinaryB {
-  std::vector<std::uint64_t> words;  // [n][kw]
-  std::size_t n = 0, k = 0, kw = 0;
-  bool empty() const { return words.empty(); }
+/// The signs of 16 weight rows over 4 consecutive lanes — one k-quad of a
+/// panel, the unit a vpdpbusd consumes: byte 4·c + r is the sign of panel
+/// column c at lane 4q + r. 64-byte aligned so no load splits a line.
+struct alignas(64) SignQuad {
+  std::int8_t s[4 * kBinaryPanelCols];
 };
 
-/// Packs a row-major weight [n, k] (ldb) into sign words. Counts one binary
-/// weight pack (binary_pack_count); degenerate shapes yield an empty handle.
+/// A binarized weight [n, k] packed once per weight version: int8 ±1 signs
+/// in panels of 16 output rows, `B[j, p] >= 0` → +1 (the quant::binarize
+/// convention), at quads[(j / 16)·quads_per_panel() + p / 4].s[4·(j % 16)
+/// + p % 4]; lanes past k and columns past n hold 0. sums[j] = S_j, the row
+/// sum of the signs (0 in padding columns).
+struct PackedBinaryB {
+  std::vector<SignQuad> quads;
+  std::vector<std::int32_t> sums;  // [panels() · 16]
+  std::size_t n = 0, k = 0;
+  std::size_t quads_per_panel() const { return (k + 3) / 4; }
+  std::size_t panels() const {
+    return (n + kBinaryPanelCols - 1) / kBinaryPanelCols;
+  }
+  bool empty() const { return quads.empty(); }
+};
+
+/// Packs a row-major weight [n, k] (ldb). Counts one binary weight pack
+/// (binary_pack_count); degenerate shapes yield an empty handle.
 PackedBinaryB prepack_binary_b_t(std::size_t n, std::size_t k, const float* B,
                                  std::size_t ldb);
 
 /// Process-wide count of binary weight packs (prepack_binary_b_t). Relaxed
 /// atomic; the serving bench diffs it across a steady-state run to prove the
-/// version-stamped caches amortized binary packing to warmup (A-side
-/// activation encodes are per-request by design and not counted).
+/// version-stamped caches amortized binary packing to warmup (A-side code
+/// passes are per-request by design and not counted).
 std::uint64_t binary_pack_count();
 
-/// Words of A-side scratch for an [m, k] activation block: m rows of
-/// kBinaryPlanes bit-sliced planes, kw words each.
-inline std::size_t packed_binary_a_words(std::size_t m, std::size_t k) {
-  return m * kBinaryPlanes * binary_words(k);
-}
-
-/// Encodes A[m, k] (lda) into thermometer bit-planes: row i's plane t at
-/// dst[(i·kBinaryPlanes + t)·kw], bit p set iff t < level(A[i, p]). Returns
-/// false — dst contents then unspecified — if any value is off the 9-level
-/// grid; this validate+encode is the quant linear layer's route dispatch.
-/// Runs the dispatched registry encoder, grid_codes then encode_codes_row
-/// per row.
-bool pack_binary_a(std::size_t m, std::size_t k, const float* A,
-                   std::size_t lda, std::uint64_t* dst);
-
-/// The conv route's validating pass: codes[i] = level of x[i] (0..8) for
-/// every i < n, or false — codes then unspecified — if any value is off the
-/// grid. Patches are gathered over these one-byte codes (zero padding is
-/// level 4), so each input element is validated once, not once per patch.
+/// The route's validating pass: codes[i] = level of x[i] (0..8) for every
+/// i < n, or false — codes then unspecified — if any value is off the grid.
+/// The level codes are the MVM's A operand: QuantLinear runs it over its
+/// activation matrix, QuantConv2d over its NCHW input before the patch
+/// gather (zero padding is level 4), so each element is validated once.
 bool binary_grid_codes(const float* x, std::size_t n, std::uint8_t* codes);
 
-/// Encodes level codes C[m, k] (ldc, each <= 8) into the pack_binary_a
-/// plane layout. Cannot fail: the codes were validated when they were made.
-void pack_binary_codes(std::size_t m, std::size_t k, const std::uint8_t* C,
-                       std::size_t ldc, std::uint64_t* dst);
+/// Where gemm_binary stores output element (i, j):
+///   c + (i / group_rows)·group_stride + (i % group_rows)·row_stride
+///     + j·col_stride.
+struct BinaryOut {
+  float* c = nullptr;
+  std::size_t row_stride = 0, col_stride = 1;
+  std::size_t group_rows = SIZE_MAX, group_stride = 0;
 
-/// One registry entry. xor_popcount_row fills pops[j] with the total
-/// popcount of (a XOR W_j) over kBinaryPlanes planes of kw words, for every
-/// weight row j in [0, n) (a: planes contiguous, kw words each; W: n rows
-/// of kw words, the PackedBinaryB layout). Row granularity is the perf
-/// contract: for kw <= 8 — k <= 512, every layer in the paper's models —
-/// the SIMD kernels keep all 8 activation planes in registers across the
-/// whole weight panel and load each weight row exactly once.
-///
-/// The A-side encode is two steps. grid_codes is the validating pass of n
-/// floats to level codes 0..8 (false on the first off-grid value, codes
-/// then unspecified; nothing is written past n). encode_codes_row encodes
-/// k already-validated codes into plane t of the row at planes[t·ldp + w],
-/// w < binary_words(k) <= ldp, bit p set iff t < level(p); padding bits are
-/// zero. Every variant evaluates the exact grid predicate of DESIGN.md §8
-/// per lane, so the encoders are bitwise interchangeable, accept/reject
+  /// Row-major C[m, n] with leading dimension ldc.
+  static BinaryOut rows(float* c, std::size_t ldc) {
+    return {c, ldc, 1, SIZE_MAX, 0};
+  }
+  /// NCHW [batch, channels, pixels]: row i is pixel i % pixels of image
+  /// i / pixels, column j is channel j — the conv route's output, stored
+  /// without a transpose pass.
+  static BinaryOut nchw(float* c, std::size_t channels, std::size_t pixels) {
+    return {c, 1, pixels, pixels, channels * pixels};
+  }
+  float* row(std::size_t i) const {
+    return c + (i / group_rows) * group_stride + (i % group_rows) * row_stride;
+  }
+};
+
+/// One registry entry. mvm_rows computes rows [lo, hi) of the MVM: for
+/// every weight row j < B.n it stores float(2·D_ij - 8·S_j) · 0.125f at
+/// out(i, j), D_ij = Σ_{p<k} sign(B[j, p]) · codes[i·lda + p]. It reads
+/// exactly k code bytes per row, nothing past them. grid_codes is the
+/// validating float→code pass of binary_grid_codes (false on the first
+/// off-grid value, codes then unspecified; nothing is written past n).
+/// Every variant evaluates the exact grid predicate of DESIGN.md §8 per
+/// lane, so the entries are bitwise interchangeable, accept/reject
 /// included.
 struct BinaryKernel {
   const char* name;
-  void (*xor_popcount_row)(const std::uint64_t* a, const std::uint64_t* W,
-                           std::size_t n, std::size_t kw, std::uint64_t* pops);
+  void (*mvm_rows)(const std::uint8_t* codes, std::size_t lda,
+                   std::size_t lo, std::size_t hi, const PackedBinaryB& B,
+                   const BinaryOut& out);
   bool (*grid_codes)(const float* x, std::size_t n, std::uint8_t* codes);
-  void (*encode_codes_row)(const std::uint8_t* codes, std::size_t k,
-                           std::uint64_t* planes, std::size_t ldp);
 };
 
-/// The micro-kernel selected once per process: best CPUID-supported ISA, or
-/// the scalar kernel under GBO_FORCE_SCALAR_KERNELS=1.
+/// The entry selected once per process: best CPUID-supported ISA, or the
+/// scalar entry under GBO_FORCE_SCALAR_KERNELS=1.
 const BinaryKernel& binary_kernel();
 
-/// The always-available scalar kernel (the in-tree reference the dispatched
-/// kernel is gated against).
+/// The always-available scalar entry (the in-tree reference the dispatched
+/// entry is gated against).
 const BinaryKernel& binary_kernel_scalar();
 
 /// Every registry entry this CPU can run, scalar first and the dispatch
@@ -127,39 +130,33 @@ const BinaryKernel& binary_kernel_scalar();
 /// against the scalar reference.
 const std::vector<const BinaryKernel*>& binary_kernels();
 
-/// pack_binary_a with an explicit registry encoder (the dispatched-vs-scalar
-/// gates run through this).
-bool pack_binary_a_with(const BinaryKernel& kern, std::size_t m,
-                        std::size_t k, const float* A, std::size_t lda,
-                        std::uint64_t* dst);
-
-/// Name of the dispatched kernel ("scalar" / "avx2" / "avx512_vpopcntdq" /
-/// "neon") — recorded in the bench JSON so CI artifacts document the ISA
-/// actually exercised.
+/// Name of the dispatched entry ("scalar" / "avx2" / "avx512_vnni") —
+/// recorded in the bench JSON so CI artifacts document the ISA actually
+/// exercised.
 const char* binary_kernel_name();
 
 /// Runtime-detected CPU features relevant to the kernel registries
 /// (common/cpu.hpp: CPUID on x86, compile-time flags elsewhere), e.g.
-/// "avx2 fma avx512f avx512bw avx512vpopcntdq".
+/// "avx2 fma avx512f avx512bw avx512vnni".
 std::string cpu_features();
 
-/// C[m, n] = unscaled binary MVM of packed activations against packed sign
-/// words: C[i, j] = (8k - 2P) · 0.125f. Runs the dispatched kernel; bitwise
-/// equal to the float A·Bᵀ kernels over the same on-grid operands (the §8
-/// contract) and to every other registry kernel. Threaded over rows,
-/// deterministic at any thread count (pure integer reduction per element).
-void gemm_binary(std::size_t m, std::size_t n, std::size_t k,
-                 const std::uint64_t* packedA, const PackedBinaryB& B, float* C,
-                 std::size_t ldc);
+/// The binary MVM of m rows of level codes (row i at codes + i·lda, k =
+/// B.k bytes each, every code <= 8) against packed signs, stored through
+/// `out`. Runs the dispatched entry; bitwise equal to the float A·Bᵀ
+/// kernels over the same on-grid operands (the §8 contract) and to every
+/// other registry entry. Threaded over row tiles, deterministic at any
+/// thread count (pure integer reduction per element).
+void gemm_binary(std::size_t m, const std::uint8_t* codes, std::size_t lda,
+                 const PackedBinaryB& B, const BinaryOut& out);
 
-/// Same, with an explicit registry kernel (tests gate forced-scalar vs
+/// Same, with an explicit registry entry (tests gate forced-scalar vs
 /// best-ISA bitwise equality through this).
-void gemm_binary_with(const BinaryKernel& kern, std::size_t m, std::size_t n,
-                      std::size_t k, const std::uint64_t* packedA,
-                      const PackedBinaryB& B, float* C, std::size_t ldc);
+void gemm_binary_with(const BinaryKernel& kern, std::size_t m,
+                      const std::uint8_t* codes, std::size_t lda,
+                      const PackedBinaryB& B, const BinaryOut& out);
 
 /// Process-wide count of gemm_binary dispatches; the benches diff it to
-/// prove the quant layers actually took the XNOR/popcount route.
+/// prove the quant layers actually took the binary route.
 std::uint64_t binary_mvm_count();
 
 }  // namespace gbo::gemm

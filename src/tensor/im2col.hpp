@@ -5,8 +5,9 @@
 // input, forward and backward. What stays here is the explicit lowering
 // the pulse-level deployment path (crossbar/hw_deploy.*) streams through
 // the crossbar simulator pulse by pulse, the binary conv route's byte
-// lowering, and the GEMM-rows → NCHW reshape both conv routes share — the
-// points where "convolution" becomes "MVM" for the analog paths. The
+// lowering, and the GEMM-rows → NCHW reshape of the float conv route and
+// the deployment path — the points where "convolution" becomes "MVM" for
+// the analog paths. The
 // im2col → col2im training route survives only as the test-side oracle
 // (tests/conv_reference.hpp).
 #pragma once
@@ -41,8 +42,8 @@ void im2col_into(const Tensor& input, const ConvGeom& g, float* out);
 /// order differs from im2col's channel-major one so that each patch is k
 /// contiguous copies out of a padded NHWC copy of the input, built in
 /// `scratch` (padded_hwc_bytes(batch, g) bytes); the binary MVM sums
-/// popcounts over lanes, so weights packed in the same order give the same
-/// result bit for bit.
+/// integer products over lanes, so weights packed in the same order give
+/// the same result bit for bit.
 std::size_t padded_hwc_bytes(std::size_t batch, const ConvGeom& g);
 void im2col_codes_into(const std::uint8_t* codes, std::size_t batch,
                        const ConvGeom& g, std::uint8_t pad,

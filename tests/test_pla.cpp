@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 namespace gbo::enc {
 namespace {
@@ -88,6 +91,52 @@ TEST(Pla, EncodeDecodesToApproximation) {
     Tensor decoded = train.decode();
     Tensor approx = pla_approximate(x, n);
     EXPECT_TRUE(ops::allclose(decoded, approx, 1e-5f, 1e-6f)) << n;
+  }
+}
+
+TEST(Pla, VectorSnapBitwiseEqualsScalarSnap) {
+  // pla_approximate(_inplace) runs a SIMD snap where the CPU has one; it
+  // must return thermometer_snap's float bit for bit: over a dense sweep of
+  // [-1.5, 1.5], the IEEE specials, and every half-way point between two
+  // levels (where the rounding decides) with its float neighbours.
+  std::vector<float> xs;
+  const std::size_t kSweep = 1 << 20;
+  for (std::size_t i = 0; i <= kSweep; ++i)
+    xs.push_back(-1.5f + 3.0f * static_cast<float>(i) /
+                             static_cast<float>(kSweep));
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float v : {0.0f, -0.0f, inf, -inf,
+                        std::numeric_limits<float>::quiet_NaN(), 1.0f, -1.0f})
+    xs.push_back(v);
+  for (const std::size_t n : {4u, 6u, 8u, 10u, 12u, 14u, 16u}) {
+    std::vector<float> in = xs;
+    const float p = static_cast<float>(n);
+    for (std::size_t l = 0; l < n; ++l) {
+      // Value whose t = (v + 1)·0.5·p lands on l + 0.5, and its neighbours.
+      float mid = (2.0f * static_cast<float>(l) + 1.0f) / p - 1.0f;
+      for (int step = 0; step < 4; ++step) mid = std::nextafter(mid, -2.0f);
+      for (int step = 0; step < 9; ++step) {
+        in.push_back(mid);
+        mid = std::nextafter(mid, 2.0f);
+      }
+    }
+    in.push_back(0.5f);  // odd length: the vector loop leaves a scalar tail
+    Tensor x({in.size()}, in);
+    const Tensor copy = pla_approximate(x, n);
+    pla_approximate_inplace(x, n);
+    const float* got = x.data();
+    const float* got_copy = copy.data();
+    std::size_t mismatches = 0;
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      const float want = thermometer_snap(in[i], n);
+      if (std::memcmp(&want, got + i, sizeof(float)) != 0 ||
+          std::memcmp(&want, got_copy + i, sizeof(float)) != 0) {
+        if (++mismatches <= 5)
+          ADD_FAILURE() << "n=" << n << " x=" << in[i] << " want " << want
+                        << " got " << got[i] << " / " << got_copy[i];
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "n=" << n;
   }
 }
 

@@ -71,7 +71,7 @@ TEST(QuantLinear, InferRoutesOnGridInputThroughBinaryKernel) {
   const std::uint64_t mvms_before = gemm::binary_mvm_count();
   Tensor y = fc.infer(x, ctx);
   EXPECT_EQ(gemm::binary_mvm_count(), mvms_before + 1);
-  // The XNOR/popcount route must be bitwise equal to the float forward.
+  // The level-code route must be bitwise equal to the float forward.
   ASSERT_EQ(y.shape(), ref.shape());
   for (std::size_t i = 0; i < y.numel(); ++i) EXPECT_EQ(y[i], ref[i]);
 }
@@ -90,20 +90,30 @@ TEST(QuantLinear, InferFallsBackToFloatForOffGridInput) {
 }
 
 TEST(QuantConv2d, InferRoutesOnGridInputThroughBinaryKernel) {
-  // The conv route gathers patches over level codes of the input; it must
-  // stay bitwise equal to forward for every stride/padding, for patch
-  // lengths that are not a multiple of 64 (18, 63, 81), with and without
-  // a scratch arena.
-  const ConvGeom geoms[] = {
-      {.in_c = 2, .in_h = 5, .in_w = 5, .k = 3, .stride = 1, .pad = 1},
-      {.in_c = 7, .in_h = 7, .in_w = 6, .k = 3, .stride = 2, .pad = 0},
-      {.in_c = 9, .in_h = 6, .in_w = 7, .k = 3, .stride = 2, .pad = 1},
+  // The conv route gathers patches over level codes of the input and
+  // stores NCHW directly; it must stay bitwise equal to forward for every
+  // stride/padding, for patch lengths that are not a multiple of 4 or 64
+  // (18, 63, 81), for whole and ragged 16-channel panels, for pixel counts
+  // that do and do not split into 8-row tiles, with and without a scratch
+  // arena.
+  struct Case {
+    ConvGeom g;
+    std::size_t out_c;
   };
-  for (const ConvGeom& g : geoms) {
+  const Case cases[] = {
+      {{.in_c = 2, .in_h = 5, .in_w = 5, .k = 3, .stride = 1, .pad = 1}, 4},
+      {{.in_c = 7, .in_h = 7, .in_w = 6, .k = 3, .stride = 2, .pad = 0}, 4},
+      {{.in_c = 9, .in_h = 6, .in_w = 7, .k = 3, .stride = 2, .pad = 1}, 4},
+      {{.in_c = 16, .in_h = 8, .in_w = 8, .k = 3, .stride = 1, .pad = 1}, 32},
+      {{.in_c = 3, .in_h = 5, .in_w = 5, .k = 3, .stride = 1, .pad = 1}, 17},
+  };
+  for (const Case& cs : cases) {
+    const ConvGeom& g = cs.g;
     SCOPED_TRACE(::testing::Message() << "in_c=" << g.in_c << " stride="
-                                      << g.stride << " pad=" << g.pad);
+                                      << g.stride << " pad=" << g.pad
+                                      << " out_c=" << cs.out_c);
     Rng rng(23);
-    QuantConv2d conv(4, g, rng, /*scaled=*/true);
+    QuantConv2d conv(cs.out_c, g, rng, /*scaled=*/true);
     Tensor x({2, g.in_c, g.in_h, g.in_w});
     for (std::size_t i = 0; i < x.numel(); ++i)
       x[i] = static_cast<float>(static_cast<int>(i * 3 % 9) - 4) * 0.25f;

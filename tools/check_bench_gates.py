@@ -16,10 +16,10 @@ boolean gates true ("bitwise_match" unless named otherwise):
     eval_trials             trial-parallel noisy eval == sequential oracle
     pulse_mvm               fused pulse sweep == per-pulse reference
     pulse_mvm_device_model  same, with read noise / ADC / variation on
-    gemm_binary             XNOR/popcount MVM == float oracle, dispatched
-                            micro-kernel == scalar, dispatched A-side
-                            encoders == scalar (encoder_match), and one
-                            sign-word repack per weight version
+    gemm_binary             int8 level-code MVM == float oracle,
+                            dispatched micro-kernel == scalar, dispatched
+                            A-side encoders == scalar (encoder_match), and
+                            one int8 sign pack per weight version
                             (repack_once)
     activations             threshold QuantTanh == quantize_value(tanh(x))
                             (tanh_match only)
@@ -35,7 +35,7 @@ For BENCH_serve*.json files ("bench": "serve"), the document-level
     arena_steady_state      zero arena heap allocations in steady state
     zero_steady_packs       zero weight packs / binarizations in steady
                             state (the frozen-weight caches, DESIGN.md §6)
-    zero_steady_binary_packs  zero binary sign-word repacks in steady
+    zero_steady_binary_packs  zero binary int8 sign repacks in steady
                             state (the version-stamped panel cache, §8)
     noisy_fused             stochastic scenarios fused micro-batches on
                             per-sample RNG streams (where present)
@@ -232,7 +232,7 @@ TRAJECTORY = [
     ("gemm_binary", None, "speedup_binary_vs_float_1t",
      "binary/float packed 1t (x)"),
     ("gemm_binary", None, "t_pack_1t",
-     "binary A-side encode (codes+planes) 1t (us)"),
+     "binary A-side level-code pass 1t (us)"),
     ("gemm_binary", None, "pack_share_1t", "binary encode share 1t"),
     ("gemm_binary", None, "speedup_cached_vs_cold_1t",
      "binary cached/cold pack (x)"),

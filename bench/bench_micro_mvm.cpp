@@ -24,6 +24,7 @@
 #include "encoding/bit_slicing.hpp"
 #include "encoding/thermometer.hpp"
 #include "models/mlp.hpp"
+#include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/eval_context.hpp"
 #include "quant/act_quant.hpp"
@@ -858,9 +859,11 @@ Json bench_gemm_binary(const HarnessConfig& hc, std::size_t pool_threads,
 }
 
 /// QuantTanh::infer by exact thresholds vs the libm expression it replaces,
-/// quantize_value(std::tanh(x)) per element, over N(0, 1.5²) pre-activations
-/// plus ±0, ±inf and NaN. Hard gate (tanh_match): bitwise equal outputs, NaN
-/// equal to NaN.
+/// quantize_value(std::tanh(x)) per element, and QuantTanh::forward's STE
+/// cache fill by the dispatched tanh entry vs the std::tanh loop, over
+/// N(0, 1.5²) pre-activations plus ±0, ±inf and NaN. Hard gates: tanh_match
+/// (bitwise equal outputs, NaN equal to NaN) and ste_tanh_match (bitwise
+/// equal tanh, NaN payload included).
 Json bench_activations(const HarnessConfig& hc, bool* gate_ok) {
   const std::size_t n = hc.act_n, levels = 9;
   Rng rng(61);
@@ -892,6 +895,24 @@ Json bench_activations(const HarnessConfig& hc, bool* gate_ok) {
                  "quantize_value(std::tanh(x)) bitwise\n");
     *gate_ok = false;
   }
+
+  const nn::TanhKernel& tanh_kern = nn::tanh_kernel();
+  const float* xp = std::as_const(x).data();
+  std::vector<float> ste(n), ste_libm(n);
+  const double t_ste =
+      time_best(hc.reps, [&] { tanh_kern.map(xp, ste.data(), n); });
+  const double t_ste_libm = time_best(hc.reps, [&] {
+    for (std::size_t i = 0; i < n; ++i) ste_libm[i] = std::tanh(xp[i]);
+  });
+  const bool ste_match =
+      std::memcmp(ste.data(), ste_libm.data(), n * sizeof(float)) == 0;
+  if (!ste_match) {
+    std::fprintf(stderr,
+                 "activations GATE FAILURE: tanh entry '%s' diverged from "
+                 "std::tanh bitwise\n",
+                 tanh_kern.name);
+    *gate_ok = false;
+  }
   Json out = Json::object();
   out.set("n", n);
   out.set("levels", levels);
@@ -900,6 +921,12 @@ Json bench_activations(const HarnessConfig& hc, bool* gate_ok) {
   out.set("libm_ms", t_libm * 1e3);
   out.set("ns_per_element_threshold", t_thr * 1e9 / static_cast<double>(n));
   out.set("speedup_threshold_vs_libm", t_libm / t_thr);
+  out.set("tanh_kernel", tanh_kern.name);
+  out.set("ste_tanh_match", ste_match);
+  out.set("ste_dispatched_ms", t_ste * 1e3);
+  out.set("ste_libm_ms", t_ste_libm * 1e3);
+  out.set("ns_per_element_ste", t_ste * 1e9 / static_cast<double>(n));
+  out.set("speedup_ste_vs_libm", t_ste_libm / t_ste);
   return out;
 }
 
@@ -1084,7 +1111,8 @@ int run_harness(const HarnessConfig& hc) {
                           /*spread=*/true, &gate_ok));
 
   std::printf("[activations] %zu QuantTanh inputs (thresholds vs libm, "
-              "bitwise gate)...\n", hc.act_n);
+              "STE tanh kernel=%s vs libm, bitwise gates)...\n",
+              hc.act_n, nn::tanh_kernel().name);
   doc.set("activations", bench_activations(hc, &gate_ok));
 
   std::printf("[normals] %zu floats kernel=%s (dispatched vs scalar "
@@ -1128,10 +1156,11 @@ int main(int argc, char** argv) {
     }
     if (arg == "--cpu-info") {
       // CI step: document the ISA the runner actually exercises.
-      std::printf("binary_kernel: %s\nnormal_kernel: %s\ncpu_features: %s\n",
-                  gbo::gemm::binary_kernel_name(),
-                  gbo::normal_kernel().name,
-                  gbo::gemm::cpu_features().c_str());
+      std::printf(
+          "binary_kernel: %s\ntanh_kernel: %s\nnormal_kernel: %s\n"
+          "cpu_features: %s\n",
+          gbo::gemm::binary_kernel_name(), gbo::nn::tanh_kernel().name,
+          gbo::normal_kernel().name, gbo::gemm::cpu_features().c_str());
       return 0;
     }
     if (arg == "--smoke") {

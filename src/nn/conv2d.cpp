@@ -375,6 +375,9 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   for (std::size_t o = 0; o < out_c_; ++o)
     for (std::size_t p = 0; p < k; ++p) wt[p * out_c_ + o] = w[o * k + p];
   Tensor dx({batch, geom_.in_c, geom_.in_h, geom_.in_w});
+  // One non-const data() call, outside the parallel body: each call bumps
+  // dx's mutation counter, which the workers must not race on.
+  float* dxp = dx.data();
   const std::size_t chw = geom_.in_c * geom_.in_h * geom_.in_w;
   const std::size_t chunk = std::max<std::size_t>(
       1, std::min(kDgradChunkFloats / (k * ohw), batch));
@@ -388,8 +391,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
                          gt.data(), cols);
     parallel_for(0, count, 1, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i)
-        add_taps(gt.data() + i * ohw, cols, geom_,
-                 dx.data() + (n0 + i) * chw);
+        add_taps(gt.data() + i * ohw, cols, geom_, dxp + (n0 + i) * chw);
     });
   }
   return dx;

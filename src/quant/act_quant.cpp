@@ -1,5 +1,7 @@
 #include "quant/act_quant.hpp"
 
+#include "nn/activations.hpp"
+
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -102,12 +104,11 @@ void QuantTanh::quantize_tanh(const float* __restrict x, float* __restrict q,
 
 Tensor QuantTanh::forward(const Tensor& x) {
   Tensor out(x.shape());
-  cached_tanh_ = Tensor(x.shape());
-  const float* p = x.data();
-  float* t = cached_tanh_.data();
-  // tanh is only needed for the STE backward's derivative.
-  for (std::size_t i = 0; i < x.numel(); ++i) t[i] = std::tanh(p[i]);
-  quantize_tanh(p, out.data(), x.numel());
+  // tanh is only needed for the STE backward's derivative; the cache keeps
+  // its storage from step to step.
+  cached_tanh_.resize(x.shape());
+  gbo::nn::tanh_kernel().map(x.data(), cached_tanh_.data(), x.numel());
+  quantize_tanh(x.data(), out.data(), x.numel());
   return out;
 }
 

@@ -31,7 +31,9 @@ std::size_t level_index(float x, std::size_t levels);
 /// once (bisection over the ordered float bit patterns, with the same
 /// std::tanh and quantize_value) and the hot loops count the thresholds at
 /// or below x instead of calling libm: bitwise the same output for every
-/// float, NaN included (DESIGN.md §12).
+/// float, NaN included. forward also fills the STE cache, tanh(x), through
+/// nn::tanh_kernel(), the exact vector port of libm's tanhf (DESIGN.md
+/// §12).
 class QuantTanh : public gbo::nn::Module {
  public:
   explicit QuantTanh(std::size_t levels = 9);
@@ -45,6 +47,9 @@ class QuantTanh : public gbo::nn::Module {
 
   /// thresholds()[j-1] is the least float x whose output is level >= j.
   const std::vector<float>& thresholds() const { return thresholds_; }
+
+  /// std::tanh(x) of the last forward's input: the STE backward's y.
+  const Tensor& cached_tanh() const { return cached_tanh_; }
 
  private:
   /// q[i] = quantize_value(std::tanh(x[i]), levels_) by threshold count;

@@ -1,10 +1,13 @@
 #include "quant/act_quant.hpp"
+#include "nn/activations.hpp"
 #include "quant/binary_weight.hpp"
 #include "tensor/ops.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 namespace gbo::quant {
@@ -122,15 +125,32 @@ TEST(QuantTanh, OutputOnGridAndBounded) {
 }
 
 TEST(QuantTanh, BackwardIsTanhDerivative) {
+  // Bitwise g·(1 − tanhf(x)²) at -1, 0, 2 and within ±256 ulps of every
+  // branch point of tanhf (nn::tanh_branch_points), on both signs.
+  std::vector<float> xs = {-1.0f, 0.0f, 2.0f};
+  for (float p : nn::tanh_branch_points())
+    for (int d = -256; d <= 256; ++d) {
+      const float v = std::bit_cast<float>(std::bit_cast<std::uint32_t>(p) +
+                                           static_cast<std::uint32_t>(d));
+      xs.push_back(v);
+      xs.push_back(-v);
+    }
+  const std::size_t n = xs.size();
+  const Tensor x({n}, xs);
+  Tensor g({n});
+  Rng rng(46);
+  ops::fill_normal(g, rng, 0.0f, 1.0f);
   QuantTanh act(9);
-  Tensor x({3}, std::vector<float>{-1.0f, 0.0f, 2.0f});
   act.forward(x);
-  Tensor g({3}, 1.0f);
-  Tensor gx = act.backward(g);
-  for (std::size_t i = 0; i < 3; ++i) {
+  const Tensor gx = act.backward(g);
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < n; ++i) {
     const float t = std::tanh(x[i]);
-    EXPECT_NEAR(gx[i], 1.0f - t * t, 1e-5f);
+    const float want = g[i] * (1.0f - t * t);
+    bad += std::bit_cast<std::uint32_t>(gx[i]) !=
+           std::bit_cast<std::uint32_t>(want);
   }
+  EXPECT_EQ(bad, 0u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "quant/quant_layers.hpp"
 
 #include "crossbar/crossbar_layers.hpp"
+#include "nn/activations.hpp"
 #include "quant/act_quant.hpp"
 #include "quant/binary_weight.hpp"
 #include "tensor/ops.hpp"
@@ -405,6 +406,7 @@ TEST(QuantTanh, SpecialValuesAndRandomBitPatterns) {
 TEST(QuantTanh, NaNStaysNaN) {
   QuantTanh act(9);
   const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
   const Tensor x({3}, std::vector<float>{-0.3f, nan, 2.0f});
   gbo::nn::EvalContext ctx;
   const Tensor y = act.infer(x, ctx);
@@ -412,6 +414,149 @@ TEST(QuantTanh, NaNStaysNaN) {
   EXPECT_TRUE(std::isnan(y[1]));
   EXPECT_FLOAT_EQ(y[2], 1.0f);
   EXPECT_THROW(QuantTanh(1), std::invalid_argument);
+
+  // The STE cache: NaN stays NaN, ±0 keep their sign, ±inf give ±1. The
+  // specials sit inside a 16-lane block, where the vector entry runs.
+  std::vector<float> xs(32, 0.5f);
+  xs[3] = nan;
+  xs[4] = 0.0f;
+  xs[5] = -0.0f;
+  xs[6] = inf;
+  xs[7] = -inf;
+  act.forward(Tensor({xs.size()}, xs));
+  const Tensor& t = act.cached_tanh();
+  EXPECT_TRUE(std::isnan(t[3]));
+  EXPECT_EQ(to_bits(t[4]), to_bits(0.0f));
+  EXPECT_EQ(to_bits(t[5]), to_bits(-0.0f));
+  EXPECT_EQ(t[6], 1.0f);
+  EXPECT_EQ(t[7], -1.0f);
+  EXPECT_EQ(to_bits(t[0]), to_bits(std::tanh(0.5f)));
+}
+
+// ---- The exact tanh registry (nn/activations.hpp) vs std::tanh -----------
+
+/// Runs every registry entry over xs and counts outputs whose bits differ
+/// from std::tanh's, NaN payloads included.
+std::size_t registry_mismatches(const std::vector<float>& xs) {
+  std::size_t bad = 0;
+  std::vector<float> y(xs.size());
+  for (const gbo::nn::TanhKernel* k : gbo::nn::tanh_kernels()) {
+    k->map(xs.data(), y.data(), xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i)
+      if (to_bits(y[i]) != to_bits(std::tanh(xs[i]))) {
+        if (bad < 8)
+          ADD_FAILURE() << k->name << ": x " << xs[i] << " (0x" << std::hex
+                        << to_bits(xs[i]) << ") gives 0x" << to_bits(y[i])
+                        << ", libm 0x" << to_bits(std::tanh(xs[i]));
+        ++bad;
+      }
+  }
+  return bad;
+}
+
+TEST(TanhKernel, RegistryIsScalarFirstAndDispatchesAProbedEntry) {
+  const auto& ks = gbo::nn::tanh_kernels();
+  ASSERT_FALSE(ks.empty());
+  EXPECT_STREQ(ks.front()->name, "scalar");
+  bool listed = false;
+  for (const gbo::nn::TanhKernel* k : ks) {
+    listed = listed || k == &gbo::nn::tanh_kernel();
+    // On this libm every entry must reproduce tanhf, so every entry passes.
+    EXPECT_TRUE(gbo::nn::tanh_kernel_exact(*k)) << k->name;
+  }
+  EXPECT_TRUE(listed);
+}
+
+TEST(TanhKernel, EveryEntryMatchesLibmAroundEveryBranchPoint) {
+  // ±2^12 ulps around 2^-24, expm1f's reduction bounds, 1, 22 and every
+  // rounding bound of expm1f's k, on both signs.
+  std::vector<float> xs;
+  for (float p : gbo::nn::tanh_branch_points())
+    for (std::int64_t d = -(1 << 12); d <= (1 << 12); ++d) {
+      xs.push_back(ulps_away(p, d));
+      xs.push_back(-ulps_away(p, d));
+    }
+  EXPECT_EQ(registry_mismatches(xs), 0u);
+}
+
+TEST(TanhKernel, EveryEntryMatchesLibmOnStridedBitPatterns) {
+  // Every 1021st of the 2^32 bit patterns: both signs, every exponent,
+  // NaN and inf included.
+  std::vector<float> xs;
+  for (std::uint64_t b = 0; b < (1ull << 32); b += 1021)
+    xs.push_back(from_bits(static_cast<std::uint32_t>(b)));
+  EXPECT_EQ(registry_mismatches(xs), 0u);
+}
+
+TEST(TanhKernel, EveryEntryMatchesLibmOnSpecialValues) {
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> xs = {0.0f, -0.0f, inf, -inf,
+                           std::numeric_limits<float>::quiet_NaN(),
+                           -std::numeric_limits<float>::quiet_NaN(),
+                           std::numeric_limits<float>::signaling_NaN(),
+                           -std::numeric_limits<float>::signaling_NaN(),
+                           from_bits(0x7FC12345u), from_bits(0xFF812345u),
+                           from_bits(0x7F800001u), from_bits(0xFFBFFFFFu),
+                           std::numeric_limits<float>::denorm_min(),
+                           -std::numeric_limits<float>::denorm_min(),
+                           from_bits(0x007FFFFFu), from_bits(0x807FFFFFu),
+                           from_bits(0x00400000u), from_bits(0x80012345u),
+                           std::numeric_limits<float>::min(),
+                           -std::numeric_limits<float>::min(),
+                           std::numeric_limits<float>::max(),
+                           -std::numeric_limits<float>::max()};
+  // Each special alone among in-range lanes, and all of them packed
+  // together, so they land in vector blocks and in the scalar tail.
+  std::vector<float> all;
+  for (float v : xs) {
+    std::vector<float> block(16, 0.75f);
+    block[7] = v;
+    all.insert(all.end(), block.begin(), block.end());
+  }
+  all.insert(all.end(), xs.begin(), xs.end());
+  EXPECT_EQ(registry_mismatches(all), 0u);
+}
+
+TEST(TanhKernel, UnalignedLengthsAndInPlace) {
+  Rng rng(77);
+  std::vector<float> src(64);
+  for (float& v : src) v = static_cast<float>(rng.normal(0.0, 2.0));
+  for (const gbo::nn::TanhKernel* k : gbo::nn::tanh_kernels())
+    for (std::size_t off = 0; off < 4; ++off)
+      for (std::size_t n = 1; n <= 47; ++n) {
+        // Guard floats on both sides of the output must stay untouched.
+        std::vector<float> y(n + off + 2, 9.0f);
+        k->map(src.data() + off, y.data() + off + 1, n);
+        std::vector<float> in_place(src.begin() + off,
+                                    src.begin() + off + n);
+        k->map(in_place.data(), in_place.data(), n);
+        EXPECT_EQ(y[off], 9.0f);
+        EXPECT_EQ(y[off + 1 + n], 9.0f);
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::uint32_t want = to_bits(std::tanh(src[off + i]));
+          ASSERT_EQ(to_bits(y[off + 1 + i]), want)
+              << k->name << " off " << off << " n " << n << " i " << i;
+          ASSERT_EQ(to_bits(in_place[i]), want)
+              << k->name << " in place, off " << off << " n " << n;
+        }
+      }
+}
+
+TEST(TanhKernel, ProbeRejectsAnEntryOffByOneUlpOnOneInput) {
+  // libm everywhere except one probed input, x = 1, one ulp up.
+  const gbo::nn::TanhKernel fake{
+      "fake", [](const float* x, float* y, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) {
+          y[i] = std::tanh(x[i]);
+          if (x[i] == 1.0f) y[i] = ulps_away(y[i], 1);
+        }
+      }};
+  EXPECT_FALSE(gbo::nn::tanh_kernel_exact(fake));
+  const gbo::nn::TanhKernel libm{
+      "libm", [](const float* x, float* y, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i) y[i] = std::tanh(x[i]);
+      }};
+  EXPECT_TRUE(gbo::nn::tanh_kernel_exact(libm));
 }
 
 }  // namespace

@@ -22,7 +22,8 @@ boolean gates true ("bitwise_match" unless named otherwise):
                             one int8 sign pack per weight version
                             (repack_once)
     activations             threshold QuantTanh == quantize_value(tanh(x))
-                            (tanh_match only)
+                            (tanh_match), and the dispatched STE tanh
+                            entry == std::tanh (ste_tanh_match)
     normals                 dispatched and scalar batched Box-Muller fills
                             == sequential normal() (normal_match only)
 
@@ -144,7 +145,7 @@ SECTION_GATES = {
     "pulse_mvm_n14": ["bitwise_match"],
     "pulse_mvm_fallback": ["bitwise_match", "fallback_taken"],
     "gemm_binary": ["bitwise_match", "repack_once", "encoder_match"],
-    "activations": ["tanh_match"],
+    "activations": ["tanh_match", "ste_tanh_match"],
     "normals": ["normal_match"],
 }
 
@@ -238,6 +239,8 @@ TRAJECTORY = [
      "binary cached/cold pack (x)"),
     ("activations", None, "speedup_threshold_vs_libm",
      "QuantTanh thresholds/libm (x)"),
+    ("activations", None, "speedup_ste_vs_libm",
+     "STE tanh dispatched/libm (x)"),
     ("normals", None, "speedup_dispatched_vs_scalar",
      "normals dispatched/scalar Box-Muller (x)"),
     ("normals", None, "fallback_rate", "normals guard recompute rate"),

@@ -199,29 +199,26 @@ struct HarnessConfig {
   int reps = 5;
 };
 
-/// Packed-panel vs unpacked blocked GEMM at the acceptance size, with the
-/// bitwise-equality gate (the two paths must agree exactly — any mismatch
-/// fails the harness) checked at 1 thread and at the pool width.
+/// The packed-panel GEMM at the acceptance size, with the bitwise gate
+/// (gemm_nn must reproduce the naive ikj loop exactly — any mismatch fails
+/// the harness) checked at 1 thread and at the pool width.
 Json bench_gemm_packed(const HarnessConfig& hc, std::size_t pool_threads,
                        bool* gate_ok) {
   const std::size_t n = hc.gemm_n;
   const std::size_t flops = 2 * n * n * n;
   const Tensor a = random_tensor({n, n}, 1);
   const Tensor b = random_tensor({n, n}, 2);
-  Tensor c_packed({n, n}), c_unpacked({n, n});
+  Tensor c({n, n}), ref({n, n});
+  gemm::naive_gemm_nn_acc(n, n, n, a.data(), b.data(), ref.data());
   ThreadPool& pool = ThreadPool::instance();
 
   bool match = true;
   auto check = [&](const char* when) {
-    gemm::gemm_nn_unpacked(n, n, n, a.data(), n, b.data(), n,
-                           c_unpacked.data(), n, false);
-    gemm::gemm_nn_packed(n, n, n, a.data(), n, b.data(), n, c_packed.data(),
-                         n, false);
-    if (std::memcmp(c_packed.data(), c_unpacked.data(),
-                    n * n * sizeof(float)) != 0) {
+    gemm::gemm_nn(n, n, n, a.data(), n, b.data(), n, c.data(), n, false);
+    if (std::memcmp(c.data(), ref.data(), n * n * sizeof(float)) != 0) {
       std::fprintf(stderr,
-                   "gemm_packed GATE FAILURE: packed path diverged from the "
-                   "unpacked path bitwise (%s)\n", when);
+                   "gemm_packed GATE FAILURE: gemm_nn diverged from the naive "
+                   "loop bitwise (%s)\n", when);
       match = false;
       *gate_ok = false;
     }
@@ -229,44 +226,28 @@ Json bench_gemm_packed(const HarnessConfig& hc, std::size_t pool_threads,
 
   pool.set_num_threads(1);
   check("1 thread");
-  const double t_unpacked_1t = time_best(hc.reps, [&] {
-    gemm::gemm_nn_unpacked(n, n, n, a.data(), n, b.data(), n,
-                           c_unpacked.data(), n, false);
-  });
   const double t_packed_1t = time_best(hc.reps, [&] {
-    gemm::gemm_nn_packed(n, n, n, a.data(), n, b.data(), n, c_packed.data(),
-                         n, false);
+    gemm::gemm_nn(n, n, n, a.data(), n, b.data(), n, c.data(), n, false);
   });
   pool.set_num_threads(pool_threads);
   check("pool threads");
-  const double t_unpacked_mt = time_best(hc.reps, [&] {
-    gemm::gemm_nn_unpacked(n, n, n, a.data(), n, b.data(), n,
-                           c_unpacked.data(), n, false);
-  });
   const double t_packed_mt = time_best(hc.reps, [&] {
-    gemm::gemm_nn_packed(n, n, n, a.data(), n, b.data(), n, c_packed.data(),
-                         n, false);
+    gemm::gemm_nn(n, n, n, a.data(), n, b.data(), n, c.data(), n, false);
   });
 
   Json out = Json::object();
   out.set("size", n);
   out.set("bitwise_match", match);
-  out.set("unpacked_1t_ms", t_unpacked_1t * 1e3);
   out.set("packed_1t_ms", t_packed_1t * 1e3);
-  out.set("unpacked_mt_ms", t_unpacked_mt * 1e3);
   out.set("packed_mt_ms", t_packed_mt * 1e3);
-  out.set("gflops_unpacked_1t", gflops(flops, t_unpacked_1t));
   out.set("gflops_packed_1t", gflops(flops, t_packed_1t));
-  out.set("gflops_unpacked_mt", gflops(flops, t_unpacked_mt));
   out.set("gflops_packed_mt", gflops(flops, t_packed_mt));
-  out.set("speedup_packed_1t", t_unpacked_1t / t_packed_1t);
-  out.set("speedup_packed_mt", t_unpacked_mt / t_packed_mt);
   return out;
 }
 
 /// Cross-request prepacked weight panels (DESIGN.md §6): cold pack (panels
-/// rebuilt every call) vs cached pack (prepack once, kernel only) vs the
-/// unpacked blocked path, at the acceptance size, with two hard gates:
+/// rebuilt every call) vs cached pack (prepack once, kernel only), at the
+/// acceptance size, with two hard gates:
 /// the prepacked result must equal the fresh-pack gemm_nt result bitwise
 /// (cached panels are the same bytes a fresh pack produces), and a
 /// PackedWeightCache must repack exactly once per weight version.
@@ -1065,7 +1046,7 @@ int run_harness(const HarnessConfig& hc) {
   doc.set("gemm", bench_gemm_paths(hc, pool_threads));
   pool.set_num_threads(pool_threads);
 
-  std::printf("[gemm packed] n=%zu (packed vs unpacked panels, bitwise "
+  std::printf("[gemm packed] n=%zu (packed panels vs naive loop, bitwise "
               "gate)...\n", hc.gemm_n);
   doc.set("gemm_packed", bench_gemm_packed(hc, pool_threads, &gate_ok));
   pool.set_num_threads(pool_threads);

@@ -152,12 +152,18 @@ float evaluate_noisy_sequential(const nn::Sequential& net,
   return mean_accuracy(acc);
 }
 
-float load_or_pretrain(models::Vgg9& model, const data::Dataset& train,
-                       const data::Dataset& test, const PretrainConfig& cfg,
-                       const std::string& data_fingerprint) {
-  const std::string fp =
-      model.config.fingerprint() + "|" + data_fingerprint + "|" + cfg.fingerprint();
-  const std::string path = artifact_path("vgg9-pretrained", fp);
+namespace {
+
+/// The shared cache-or-train body: `artifact` names the checkpoint family
+/// (one per model type) under which the fingerprinted state dict is kept.
+template <typename Model>
+float load_or_pretrain_as(const char* artifact, Model& model,
+                          const data::Dataset& train,
+                          const data::Dataset& test, const PretrainConfig& cfg,
+                          const std::string& data_fingerprint) {
+  const std::string fp = model.config.fingerprint() + "|" + data_fingerprint +
+                         "|" + cfg.fingerprint();
+  const std::string path = artifact_path(artifact, fp);
   if (artifact_exists(path)) {
     bool ok = false;
     const StateDict state = load_state_dict(path, &ok);
@@ -176,28 +182,20 @@ float load_or_pretrain(models::Vgg9& model, const data::Dataset& train,
   return stats.test_acc;
 }
 
+}  // namespace
+
+float load_or_pretrain(models::Vgg9& model, const data::Dataset& train,
+                       const data::Dataset& test, const PretrainConfig& cfg,
+                       const std::string& data_fingerprint) {
+  return load_or_pretrain_as("vgg9-pretrained", model, train, test, cfg,
+                             data_fingerprint);
+}
+
 float load_or_pretrain(models::ResNet& model, const data::Dataset& train,
                        const data::Dataset& test, const PretrainConfig& cfg,
                        const std::string& data_fingerprint) {
-  const std::string fp = model.config.fingerprint() + "|" + data_fingerprint +
-                         "|" + cfg.fingerprint();
-  const std::string path = artifact_path("resnet-pretrained", fp);
-  if (artifact_exists(path)) {
-    bool ok = false;
-    const StateDict state = load_state_dict(path, &ok);
-    if (ok) {
-      model.net->load_state_dict(state);
-      const float acc = evaluate(*model.net, test);
-      log_info("loaded pretrained checkpoint ", path, " (clean acc=", acc, ")");
-      return acc;
-    }
-  }
-  log_info("no cached checkpoint; pretraining (", fp, ")");
-  const PretrainStats stats =
-      pretrain(*model.net, model.binary, train, test, cfg);
-  if (!save_state_dict(path, model.net->state_dict()))
-    log_warn("could not save checkpoint to ", path);
-  return stats.test_acc;
+  return load_or_pretrain_as("resnet-pretrained", model, train, test, cfg,
+                             data_fingerprint);
 }
 
 std::vector<double> calibrate_sigmas(nn::Sequential& net,

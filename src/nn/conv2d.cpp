@@ -368,12 +368,10 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
 
   // dX: per image Gᵀ = Wᵀ·grad_outₙ [k, oh·ow] — the same o-ascending chain
   // per element as grad_rows·W, multiplicands swapped — then the tap adds.
-  // Images share a GEMM call up to the Gᵀ budget; the calls cannot change
-  // a bit, since every Gᵀ element is its own chain.
+  // The Wᵀ panels read W [out_c, k] in place (pack_a_panel_t). Images share
+  // a GEMM call up to the Gᵀ budget; the calls cannot change a bit, since
+  // every Gᵀ element is its own chain.
   const float* w = cached_eff_weight_->data();
-  std::vector<float> wt(k * out_c_);
-  for (std::size_t o = 0; o < out_c_; ++o)
-    for (std::size_t p = 0; p < k; ++p) wt[p * out_c_ + o] = w[o * k + p];
   Tensor dx({batch, geom_.in_c, geom_.in_h, geom_.in_w});
   // One non-const data() call, outside the parallel body: each call bumps
   // dx's mutation counter, which the workers must not race on.
@@ -387,8 +385,11 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     const std::size_t count = std::min(chunk, batch - n0);
     const std::size_t cols = count * ohw;
     pack_grad_cols(g, n0, count, out_c_, ohw, pb.data());
-    gemm::gemm_prepacked(k, cols, out_c_, wt.data(), out_c_, pb.data(),
-                         gt.data(), cols);
+    gemm::gemm_prepacked_b(
+        k, cols, out_c_,
+        [&](std::size_t i0, std::size_t i1, std::size_t pc, std::size_t kc,
+            float* dst) { gemm::pack_a_panel_t(w, k, i0, i1, pc, kc, dst); },
+        pb.data(), gt.data(), cols, /*accumulate=*/false);
     parallel_for(0, count, 1, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i)
         add_taps(gt.data() + i * ohw, cols, geom_, dxp + (n0 + i) * chw);

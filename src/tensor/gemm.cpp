@@ -24,8 +24,9 @@ constexpr std::size_t MR = kMR;
 constexpr std::size_t NR = kNR;
 static_assert(NC % NR == 0, "packed B strips must tile NC blocks exactly");
 
-// Problems below this flop count run the short direct kernels: blocking and
-// packing buffers only pay off once the operands outgrow L1.
+// A·Bᵀ problems below this flop count (and weights below this size, see
+// panels_for_weight) run the short direct dot loops: packing B only pays
+// off once the operands outgrow L1.
 constexpr std::size_t kSmallFlops = 32 * 1024;
 
 // Per-thread A-panel scratch for the packed path: one MC-row slab packed
@@ -69,45 +70,13 @@ inline vf8 loadu8(const float* p) {
 inline void storeu8(float* p, vf8 v) { __builtin_memcpy(p, &v, sizeof(v)); }
 inline vf8 splat8(float x) { return vf8{x, x, x, x, x, x, x, x}; }
 
-// Full MR×NR register tile: C[i:i+6, j:j+16] += A[i:i+6, pc:pc+kc] *
-// B[pc:pc+kc, j:j+16]. Lane c of each accumulator only ever combines with
-// column j+c, so per-element accumulation order matches the scalar edge
-// kernel's k-ascending order.
-void micro_full(const float* __restrict A, std::size_t lda,
-                const float* __restrict B, std::size_t ldb,
-                float* __restrict C, std::size_t ldc, std::size_t kc) {
-  static_assert(MR == 6 && NR == 16, "micro_full is specialized for 6x16");
-  vf8 c00 = loadu8(C + 0 * ldc), c01 = loadu8(C + 0 * ldc + 8);
-  vf8 c10 = loadu8(C + 1 * ldc), c11 = loadu8(C + 1 * ldc + 8);
-  vf8 c20 = loadu8(C + 2 * ldc), c21 = loadu8(C + 2 * ldc + 8);
-  vf8 c30 = loadu8(C + 3 * ldc), c31 = loadu8(C + 3 * ldc + 8);
-  vf8 c40 = loadu8(C + 4 * ldc), c41 = loadu8(C + 4 * ldc + 8);
-  vf8 c50 = loadu8(C + 5 * ldc), c51 = loadu8(C + 5 * ldc + 8);
-  for (std::size_t p = 0; p < kc; ++p) {
-    const float* __restrict b = B + p * ldb;
-    const vf8 b0 = loadu8(b), b1 = loadu8(b + 8);
-    vf8 a;
-    a = splat8(A[0 * lda + p]); c00 += a * b0; c01 += a * b1;
-    a = splat8(A[1 * lda + p]); c10 += a * b0; c11 += a * b1;
-    a = splat8(A[2 * lda + p]); c20 += a * b0; c21 += a * b1;
-    a = splat8(A[3 * lda + p]); c30 += a * b0; c31 += a * b1;
-    a = splat8(A[4 * lda + p]); c40 += a * b0; c41 += a * b1;
-    a = splat8(A[5 * lda + p]); c50 += a * b0; c51 += a * b1;
-  }
-  storeu8(C + 0 * ldc, c00); storeu8(C + 0 * ldc + 8, c01);
-  storeu8(C + 1 * ldc, c10); storeu8(C + 1 * ldc + 8, c11);
-  storeu8(C + 2 * ldc, c20); storeu8(C + 2 * ldc + 8, c21);
-  storeu8(C + 3 * ldc, c30); storeu8(C + 3 * ldc + 8, c31);
-  storeu8(C + 4 * ldc, c40); storeu8(C + 4 * ldc + 8, c41);
-  storeu8(C + 5 * ldc, c50); storeu8(C + 5 * ldc + 8, c51);
-}
-
-// The same 6×16 register tile streaming from packed panels: A strip element
-// (r, p) at Ap[p*MR + r], B strip row p at Bp[p*NR]. The float operations
-// and their order are identical to micro_full — only the address arithmetic
-// differs — so the packed and unpacked paths agree bitwise.
+// The full MR×NR register tile over packed panels: C[i:i+6, j:j+16] +=
+// A strip · B strip, with A strip element (r, p) at Ap[p*MR + r] and B strip
+// row p at Bp[p*NR]. Lane c of each accumulator only ever combines with
+// column j+c, so every C element is one k-ascending chain of c += a·b.
 void micro_full_packed(const float* __restrict Ap, const float* __restrict Bp,
                        float* __restrict C, std::size_t ldc, std::size_t kc) {
+  static_assert(MR == 6 && NR == 16, "micro_full_packed is 6x16");
   vf8 c00 = loadu8(C + 0 * ldc), c01 = loadu8(C + 0 * ldc + 8);
   vf8 c10 = loadu8(C + 1 * ldc), c11 = loadu8(C + 1 * ldc + 8);
   vf8 c20 = loadu8(C + 2 * ldc), c21 = loadu8(C + 2 * ldc + 8);
@@ -136,23 +105,6 @@ void micro_full_packed(const float* __restrict Ap, const float* __restrict Bp,
 
 #else  // portable scalar fallbacks
 
-void micro_full(const float* __restrict A, std::size_t lda,
-                const float* __restrict B, std::size_t ldb,
-                float* __restrict C, std::size_t ldc, std::size_t kc) {
-  float acc[MR][NR];
-  for (std::size_t r = 0; r < MR; ++r)
-    for (std::size_t c = 0; c < NR; ++c) acc[r][c] = C[r * ldc + c];
-  for (std::size_t p = 0; p < kc; ++p) {
-    const float* __restrict b = B + p * ldb;
-    for (std::size_t r = 0; r < MR; ++r) {
-      const float a = A[r * lda + p];
-      for (std::size_t c = 0; c < NR; ++c) acc[r][c] += a * b[c];
-    }
-  }
-  for (std::size_t r = 0; r < MR; ++r)
-    for (std::size_t c = 0; c < NR; ++c) C[r * ldc + c] = acc[r][c];
-}
-
 void micro_full_packed(const float* __restrict Ap, const float* __restrict Bp,
                        float* __restrict C, std::size_t ldc, std::size_t kc) {
   float acc[MR][NR];
@@ -171,24 +123,6 @@ void micro_full_packed(const float* __restrict Ap, const float* __restrict Bp,
 }
 
 #endif
-
-// Variable-size edge tile (mr <= MR, nr <= NR), same accumulation order.
-void micro_edge(std::size_t mr, std::size_t nr, const float* __restrict A,
-                std::size_t lda, const float* __restrict B, std::size_t ldb,
-                float* __restrict C, std::size_t ldc, std::size_t kc) {
-  float acc[MR][NR];
-  for (std::size_t r = 0; r < mr; ++r)
-    for (std::size_t c = 0; c < nr; ++c) acc[r][c] = C[r * ldc + c];
-  for (std::size_t p = 0; p < kc; ++p) {
-    const float* __restrict b = B + p * ldb;
-    for (std::size_t r = 0; r < mr; ++r) {
-      const float a = A[r * lda + p];
-      for (std::size_t c = 0; c < nr; ++c) acc[r][c] += a * b[c];
-    }
-  }
-  for (std::size_t r = 0; r < mr; ++r)
-    for (std::size_t c = 0; c < nr; ++c) C[r * ldc + c] = acc[r][c];
-}
 
 // Packed-path edge tile: the panels are already zero-padded to MR×NR, so
 // the full register kernel runs into a local tile and only the valid mr×nr
@@ -330,46 +264,8 @@ constexpr bool kHaveNtDirect = false;
 
 #endif
 
-// One thread's row slab [i0, i1), unpacked operands: full KC/NC blocking
-// over K and N with strided panel reads.
-void slab_nn(std::size_t i0, std::size_t i1, std::size_t n, std::size_t k,
-             const float* A, std::size_t lda, const float* B, std::size_t ldb,
-             float* C, std::size_t ldc) {
-  for (std::size_t pc = 0; pc < k; pc += KC) {
-    const std::size_t kc = pc + KC < k ? KC : k - pc;
-    for (std::size_t jc = 0; jc < n; jc += NC) {
-      const std::size_t nc = jc + NC < n ? NC : n - jc;
-      for (std::size_t i = i0; i < i1; i += MR) {
-        const std::size_t mr = i + MR < i1 ? MR : i1 - i;
-        for (std::size_t j = jc; j < jc + nc; j += NR) {
-          const std::size_t nr = j + NR < jc + nc ? NR : jc + nc - j;
-          const float* Ab = A + i * lda + pc;
-          const float* Bb = B + pc * ldb + j;
-          float* Cb = C + i * ldc + j;
-          if (mr == MR && nr == NR)
-            micro_full(Ab, lda, Bb, ldb, Cb, ldc, kc);
-          else
-            micro_edge(mr, nr, Ab, lda, Bb, ldb, Cb, ldc, kc);
-        }
-      }
-    }
-  }
-}
-
 inline std::size_t round_up(std::size_t x, std::size_t to) {
   return (x + to - 1) / to * to;
-}
-
-// True when this shape runs the packed-panel gemm_nn path: packing costs
-// O(k·(m + n)) data movement against O(m·n·k) flops, so it needs a real
-// blocked problem (and at least one full A strip) to pay off.
-bool nn_packs(std::size_t m, std::size_t n, std::size_t k) {
-  return m != 0 && n != 0 && k != 0 && m * n * k > kSmallFlops && m >= MR;
-}
-
-bool nt_packs(std::size_t m, std::size_t n, std::size_t k) {
-  return m != 0 && n != 0 && k != 0 && m * n * k > kSmallFlops &&
-         !(kHaveNtDirect && m < 64);
 }
 
 }  // namespace
@@ -442,6 +338,24 @@ void pack_a_panel(const float* A, std::size_t lda, std::size_t i0,
   }
 }
 
+void pack_a_panel_t(const float* A, std::size_t lda, std::size_t i0,
+                    std::size_t i1, std::size_t pc, std::size_t kc,
+                    float* dst) {
+  // Element (r, p) is A[pc + p, i0 + r]: each K row contributes one
+  // contiguous run of up to MR floats per strip — the transpose is fused
+  // into the pack, no Aᵀ materialized.
+  for (std::size_t i = i0; i < i1; i += MR) {
+    const std::size_t mr = i + MR < i1 ? MR : i1 - i;
+    float* strip = dst + ((i - i0) / MR) * MR * kc;
+    for (std::size_t p = 0; p < kc; ++p) {
+      const float* src = A + (pc + p) * lda + i;
+      float* col = strip + p * MR;
+      for (std::size_t r = 0; r < mr; ++r) col[r] = src[r];
+      for (std::size_t r = mr; r < MR; ++r) col[r] = 0.0f;
+    }
+  }
+}
+
 void gemm_prepacked_b(std::size_t m, std::size_t n, std::size_t k,
                       const PanelPacker& pack_a, const float* packedB,
                       float* C, std::size_t ldc, bool accumulate) {
@@ -484,60 +398,16 @@ void gemm_prepacked_b(std::size_t m, std::size_t n, std::size_t k,
   });
 }
 
-void gemm_nn_packed(std::size_t m, std::size_t n, std::size_t k,
-                    const float* A, std::size_t lda, const float* B,
-                    std::size_t ldb, float* C, std::size_t ldc,
-                    bool accumulate, float* pack_scratch) {
-  if (m == 0 || n == 0 || k == 0) {
-    if (!accumulate) zero_rows(C, m, n, ldc);
-    return;
-  }
-  std::vector<float> pb_own;
-  float* pb = pack_scratch;
-  if (pb == nullptr) {
-    pb_own.resize(packed_b_floats(n, k));
-    pb = pb_own.data();
-  }
-  pack_b(k, n, B, ldb, pb);
-  gemm_prepacked_b(
-      m, n, k,
-      [&](std::size_t i0, std::size_t i1, std::size_t pc, std::size_t kc,
-          float* dst) { pack_a_panel(A, lda, i0, i1, pc, kc, dst); },
-      pb, C, ldc, accumulate);
-}
-
-void gemm_nn_unpacked(std::size_t m, std::size_t n, std::size_t k,
-                      const float* A, std::size_t lda, const float* B,
-                      std::size_t ldb, float* C, std::size_t ldc,
-                      bool accumulate) {
-  if (!accumulate) zero_rows(C, m, n, ldc);
-  if (m == 0 || n == 0 || k == 0) return;
-  parallel_for(0, m, MC, [&](std::size_t lo, std::size_t hi) {
-    slab_nn(lo, hi, n, k, A, lda, B, ldb, C, ldc);
-  });
-}
-
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const float* A,
              std::size_t lda, const float* B, std::size_t ldb, float* C,
              std::size_t ldc, bool accumulate) {
-  if (nn_packs(m, n, k))
-    gemm_nn_packed(m, n, k, A, lda, B, ldb, C, ldc, accumulate);
-  else
-    gemm_nn_unpacked(m, n, k, A, lda, B, ldb, C, ldc, accumulate);
-}
-
-bool gemm_nt_packs_b(std::size_t m, std::size_t n, std::size_t k) {
-  return nt_packs(m, n, k);
-}
-
-std::size_t gemm_nt_scratch_floats(std::size_t m, std::size_t n,
-                                   std::size_t k) {
-  return nt_packs(m, n, k) ? packed_b_floats(n, k) : 0;
+  const PackedB pb = prepack_b(k, n, B, ldb);
+  gemm_prepacked(m, n, k, A, lda, pb.panels.data(), C, ldc, accumulate);
 }
 
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const float* A,
              std::size_t lda, const float* B, std::size_t ldb, float* C,
-             std::size_t ldc, float* pack_scratch) {
+             std::size_t ldc) {
   if (m == 0 || n == 0) return;
   if (k == 0) {
     zero_rows(C, m, n, ldc);
@@ -566,18 +436,8 @@ void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const float* A,
   // dot-product loop (a serial reduction the compiler cannot vectorize
   // without reassociating) into the streaming packed kernel; the k·n pack
   // is negligible against the m·n·k multiply.
-  std::vector<float> pb_own;
-  float* pb = pack_scratch;
-  if (pb == nullptr) {
-    pb_own.resize(packed_b_floats(n, k));
-    pb = pb_own.data();
-  }
-  pack_b_t(n, k, B, ldb, pb);
-  gemm_prepacked_b(
-      m, n, k,
-      [&](std::size_t i0, std::size_t i1, std::size_t pc, std::size_t kc,
-          float* dst) { pack_a_panel(A, lda, i0, i1, pc, kc, dst); },
-      pb, C, ldc, /*accumulate=*/false);
+  const PackedB pb = prepack_b_t(n, k, B, ldb);
+  gemm_prepacked(m, n, k, A, lda, pb.panels.data(), C, ldc);
 }
 
 void gemm_nt_rowwise(std::size_t m, std::size_t n, std::size_t k,
@@ -684,32 +544,12 @@ const float* PackedWeightCache::get(const float* B, std::size_t ldb,
 void gemm_tn_acc(std::size_t m, std::size_t n, std::size_t k, const float* A,
                  std::size_t lda, const float* B, std::size_t ldb, float* C,
                  std::size_t ldc) {
-  if (m == 0 || n == 0 || k == 0) return;
-  if (m * n * k <= kSmallFlops) {
-    for (std::size_t p = 0; p < k; ++p) {
-      const float* Ap = A + p * lda;
-      const float* Bp = B + p * ldb;
-      for (std::size_t i = 0; i < m; ++i) {
-        const float a = Ap[i];
-        float* Ci = C + i * ldc;
-        for (std::size_t j = 0; j < n; ++j) Ci[j] += a * Bp[j];
-      }
-    }
-    return;
-  }
-  // Aᵀ materialized row-major, then the (packed) nn kernel accumulates.
-  std::vector<float> at(m * k);
-  constexpr std::size_t TB = 32;
-  parallel_for(0, k, TB, [&](std::size_t lo, std::size_t hi) {
-    float* dst = at.data();
-    for (std::size_t p0 = 0; p0 < m; p0 += TB) {
-      const std::size_t p1 = p0 + TB < m ? p0 + TB : m;
-      for (std::size_t j = lo; j < hi; ++j)
-        for (std::size_t p = p0; p < p1; ++p)
-          dst[p * k + j] = A[j * lda + p];
-    }
-  });
-  gemm_nn(m, n, k, at.data(), k, B, ldb, C, ldc, /*accumulate=*/true);
+  const PackedB pb = prepack_b(k, n, B, ldb);
+  gemm_prepacked_b(
+      m, n, k,
+      [&](std::size_t i0, std::size_t i1, std::size_t pc, std::size_t kc,
+          float* dst) { pack_a_panel_t(A, lda, i0, i1, pc, kc, dst); },
+      pb.panels.data(), C, ldc, /*accumulate=*/true);
 }
 
 // ---- retained naive reference kernels (seed implementations) -------------

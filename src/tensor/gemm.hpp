@@ -1,26 +1,33 @@
-// Cache-blocked, register-tiled, multithreaded GEMM micro-kernels with
-// packed-panel operands.
+// Cache-blocked, register-tiled, multithreaded GEMM over packed-panel
+// operands.
 //
 // The Goto/van de Geijn decomposition specialized to this project's needs:
 // row-major float32, three transpose variants (the only ones the NN and
 // crossbar layers use), and bitwise-reproducible threading.
 //
-//   * Loop structure: rows of C are split into MC-row slabs (the threading
-//     unit); within a slab, K is blocked by KC and columns by NC so the
-//     active B panel stays L2-resident; the innermost tile is an MR×NR
-//     register block accumulated over the K block.
-//   * Panel packing (DESIGN.md §5): above a small-problem cutoff, B is
-//     repacked once into contiguous NR-column strips and each slab packs
-//     its A rows into MR-row strips, so the micro-kernel streams both
-//     operands from dense, 64-byte-aligned panels instead of strided reads.
-//     Ragged edges are zero-padded inside the panels and masked at the C
-//     store, so every shape runs the same register-tiled kernel — nothing
-//     falls back to the naive loops.
+//   * One driver (DESIGN.md §5): gemm_prepacked_b multiplies a B operand
+//     packed into contiguous NR-column strips by A panels that a pluggable
+//     packer writes into per-thread MR-row strips. Rows of C are split into
+//     MC-row slabs (the threading unit); within a slab, K is blocked by KC
+//     and columns by NC so the active B panel stays L2-resident; the
+//     innermost tile is an MR×NR register block accumulated over the K
+//     block. Ragged edges are zero-padded inside the panels and masked at
+//     the C store.
+//   * Three A packers: pack_a_panel (A as stored — gemm_nn, gemm_nt's
+//     large-m route), pack_a_panel_t (A stored transposed — gemm_tn_acc
+//     and the conv input gradient) and the conv layer's patch gather. B
+//     packs straight from row-major (pack_b) or transposed (pack_b_t)
+//     storage, so no caller ever materializes a transposed copy.
+//   * gemm_nt alone keeps two direct routes ahead of the driver — a scalar
+//     dot loop for tiny products and the vectorized nt_direct for m < 64 —
+//     because they reassociate the k-sum and are part of the analytic MVM's
+//     pinned output bits.
 //   * Per-element arithmetic order depends only on the fixed block sizes,
-//     never on the thread count or on packing — each C element is produced
-//     by exactly one thread accumulating k-ascending in KC chunks, so
-//     results are identical at 1..N threads and bitwise identical between
-//     the packed and unpacked paths (tests/test_gemm.cpp).
+//     never on the thread count — each C element is produced by exactly one
+//     thread as one k-ascending chain of c += a·b starting from C — so
+//     results are identical at 1..N threads, and gemm_nn / gemm_tn_acc
+//     reproduce the naive loops below bit for bit on the tested shapes
+//     (tests/test_gemm.cpp).
 //   * Thread count: GBO_NUM_THREADS / ThreadPool (common/thread_pool.hpp).
 //
 // The seed's naive loops are retained below as `naive_*` — they are the
@@ -52,31 +59,20 @@ inline constexpr std::size_t kNR = 16;   // columns per packed B strip
 inline constexpr std::size_t kKC = 256;  // K rows per packed block
 
 /// C = A·B (+ C when accumulate): A[m,k] lda, B[k,n] ldb, C[m,n] ldc.
-/// Dispatches to the packed-panel path for non-tiny problems.
+/// Packs B once and runs the packed-panel driver for every shape.
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const float* A,
              std::size_t lda, const float* B, std::size_t ldb, float* C,
              std::size_t ldc, bool accumulate);
 
-/// C = A·Bᵀ: A[m,k] lda, B[n,k] ldb, C[m,n] ldc. Large-m shapes pack B
-/// directly from its transposed storage into column panels and run the
-/// packed kernel; `pack_scratch` (gemm_nt_scratch_floats(m, n, k) floats,
-/// 64-byte aligned), when given, provides the panel buffer so zero-alloc
-/// callers (the arena-backed serving path) keep the kernel off the heap.
-/// nullptr allocates internally.
+/// C = A·Bᵀ: A[m,k] lda, B[n,k] ldb, C[m,n] ldc. Tiny products dot
+/// directly, m < 64 runs the vectorized per-row dot kernel, and larger m
+/// packs B straight from its transposed storage into the packed driver.
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const float* A,
              std::size_t lda, const float* B, std::size_t ldb, float* C,
-             std::size_t ldc, float* pack_scratch = nullptr);
+             std::size_t ldc);
 
-/// True when gemm_nt(m, n, k, ...) takes the packed-panel path and would
-/// therefore use (or allocate) a packed-B buffer. Shape-only predicate.
-bool gemm_nt_packs_b(std::size_t m, std::size_t n, std::size_t k);
-
-/// Floats of pack scratch gemm_nt needs for this shape (0 when the shape
-/// takes a direct path). Lets zero-alloc callers reserve exactly enough.
-std::size_t gemm_nt_scratch_floats(std::size_t m, std::size_t n,
-                                   std::size_t k);
-
-/// C += Aᵀ·B: A[k,m] lda, B[k,n] ldb, C[m,n] ldc.
+/// C += Aᵀ·B: A[k,m] lda, B[k,n] ldb, C[m,n] ldc. The packed driver with
+/// Aᵀ panels read straight from A (pack_a_panel_t).
 void gemm_tn_acc(std::size_t m, std::size_t n, std::size_t k, const float* A,
                  std::size_t lda, const float* B, std::size_t ldb, float* C,
                  std::size_t ldc);
@@ -108,9 +104,9 @@ std::uint64_t b_pack_count();
 
 // ---- packed-panel building blocks ----------------------------------------
 //
-// Shared by gemm_nn/gemm_nt and the convolution layer (nn/conv2d.cpp),
-// which gathers its patches inside the A-panel packer and packs its
-// weight-gradient B operand straight from NCHW, and therefore needs the
+// Shared by gemm_nn/gemm_nt/gemm_tn_acc and the convolution layer
+// (nn/conv2d.cpp), which gathers its patches inside the A-panel packer and
+// packs its gradient B operands straight from NCHW, and therefore needs the
 // layouts public.
 
 /// Size in floats of a packed-B buffer for B[k, n]: k rows × n rounded up
@@ -136,6 +132,12 @@ void pack_b_t(std::size_t n, std::size_t k, const float* B, std::size_t ldb,
 void pack_a_panel(const float* A, std::size_t lda, std::size_t i0,
                   std::size_t i1, std::size_t pc, std::size_t kc, float* dst);
 
+/// Same panel layout, reading A stored transposed as A[k, m] (lda):
+/// element (r, p) of strip s is A[pc + p, i0 + s·kMR + r].
+void pack_a_panel_t(const float* A, std::size_t lda, std::size_t i0,
+                    std::size_t i1, std::size_t pc, std::size_t kc,
+                    float* dst);
+
 /// Caller-supplied A-panel producer: must fill `dst` exactly as
 /// pack_a_panel would, but may synthesize the values from any source (the
 /// conv layer gathers receptive-field patches here, skipping im2col). A
@@ -146,7 +148,7 @@ using PanelPacker = FunctionRef<void(std::size_t, std::size_t, std::size_t,
 /// The packed-panel multiply core: C = (packed A)·(packed B) (+ C when
 /// accumulate), with `packedB` laid out by pack_b/pack_b_t and A panels
 /// produced on demand by `pack_a` into per-thread scratch. Bitwise
-/// reproducible at any thread count; bitwise equal to the unpacked path.
+/// reproducible at any thread count.
 void gemm_prepacked_b(std::size_t m, std::size_t n, std::size_t k,
                       const PanelPacker& pack_a, const float* packedB,
                       float* C, std::size_t ldc, bool accumulate);
@@ -179,10 +181,10 @@ const float* pack_fresh_b_t(std::size_t n, std::size_t k, const float* B,
                             std::size_t ldb, ScratchArena* arena,
                             std::vector<float>* own);
 
-/// C = A·(packed B) (+ C when accumulate): the packed kernel over an
-/// external panel buffer laid out by pack_b/pack_b_t (or held in a
-/// PackedB). A[m, k] lda, C[m, n] ldc. Bitwise equal to gemm_nn_packed /
-/// gemm_nt on the packing path for the same operands, at any thread count.
+/// C = A·(packed B) (+ C when accumulate): the packed driver with A read
+/// as stored (pack_a_panel) over an external panel buffer laid out by
+/// pack_b/pack_b_t (or held in a PackedB). A[m, k] lda, C[m, n] ldc.
+/// gemm_nn and gemm_nt's packing route are this call over a fresh pack.
 void gemm_prepacked(std::size_t m, std::size_t n, std::size_t k,
                     const float* A, std::size_t lda, const float* packedB,
                     float* C, std::size_t ldc, bool accumulate = false);
@@ -245,17 +247,6 @@ class PackedWeightCache {
   mutable std::vector<float> panels_;
   mutable std::atomic<std::uint64_t> packs_{0};
 };
-
-/// Forced-path entry points for tests and benches; `gemm_nn` dispatches
-/// between them by shape. Bitwise equal to each other for every shape.
-void gemm_nn_packed(std::size_t m, std::size_t n, std::size_t k,
-                    const float* A, std::size_t lda, const float* B,
-                    std::size_t ldb, float* C, std::size_t ldc,
-                    bool accumulate, float* pack_scratch = nullptr);
-void gemm_nn_unpacked(std::size_t m, std::size_t n, std::size_t k,
-                      const float* A, std::size_t lda, const float* B,
-                      std::size_t ldb, float* C, std::size_t ldc,
-                      bool accumulate);
 
 // ---- retained naive reference kernels (seed implementations) -------------
 

@@ -82,6 +82,51 @@ TEST(Gemm, TnAccMatchesNaiveAcrossShapes) {
   }
 }
 
+// The packed-panel product C (+)= A·B over a reusable B handle: the
+// reference every float A·B and Aᵀ·B route must match bit for bit.
+void packed_nn(std::size_t m, std::size_t n, std::size_t k, const float* a,
+               const float* b, float* c, bool accumulate) {
+  const gemm::PackedB pb = gemm::prepack_b(k, n, b, n);
+  gemm::gemm_prepacked(m, n, k, a, k, pb.panels.data(), c, n, accumulate);
+}
+
+TEST(Gemm, NnMatchesPackedBitwiseOnSmallAndSkinnyShapes) {
+  // kShapes spans m < kMR and products below the small-problem cutoff;
+  // both plain and accumulating onto a non-zero C.
+  for (const Shape& s : kShapes) {
+    const Tensor a = random_tensor({s.m, s.k}, 191 + s.m);
+    const Tensor b = random_tensor({s.k, s.n}, 193 + s.n);
+    for (bool accumulate : {false, true}) {
+      Tensor c({s.m, s.n}, 0.625f), ref({s.m, s.n}, 0.625f);
+      gemm::gemm_nn(s.m, s.n, s.k, a.data(), s.k, b.data(), s.n, c.data(),
+                    s.n, accumulate);
+      packed_nn(s.m, s.n, s.k, a.data(), b.data(), ref.data(), accumulate);
+      EXPECT_EQ(0, std::memcmp(c.data(), ref.data(),
+                               s.m * s.n * sizeof(float)))
+          << "nn/packed bitwise mismatch at m=" << s.m << " n=" << s.n
+          << " k=" << s.k << " accumulate=" << accumulate;
+    }
+  }
+}
+
+TEST(Gemm, TnAccMatchesPackedBitwiseOnEveryShape) {
+  // Aᵀ·B below and above the small-problem cutoff against the packed
+  // product over the materialized transpose, accumulating onto C.
+  for (const Shape& s : kShapes) {
+    const Tensor a = random_tensor({s.k, s.m}, 201 + s.m);  // A stored [k, m]
+    const Tensor b = random_tensor({s.k, s.n}, 203 + s.n);
+    Tensor c({s.m, s.n}, -1.25f), ref({s.m, s.n}, -1.25f);
+    gemm::gemm_tn_acc(s.m, s.n, s.k, a.data(), s.m, b.data(), s.n, c.data(),
+                      s.n);
+    const Tensor at = ops::transpose(a);  // [m, k]
+    packed_nn(s.m, s.n, s.k, at.data(), b.data(), ref.data(),
+              /*accumulate=*/true);
+    EXPECT_EQ(0, std::memcmp(c.data(), ref.data(), s.m * s.n * sizeof(float)))
+        << "tn/packed bitwise mismatch at m=" << s.m << " n=" << s.n
+        << " k=" << s.k;
+  }
+}
+
 TEST(Gemm, KZeroYieldsZeroProduct) {
   Tensor c({3, 4}, 7.0f);
   gemm::gemm_nn(3, 4, 0, nullptr, 0, nullptr, 4, c.data(), 4,
@@ -154,64 +199,78 @@ const std::vector<Shape> kRaggedShapes = {
     {257, 31, 1},   {6, 16, 8},    {64, 64, 64},   {61, 257, 129},
 };
 
-TEST(Gemm, PackedMatchesUnpackedBitwiseOnRaggedShapes) {
+// gemm_nt's packed route (gemm.cpp): m >= 64 and m·n·k above the 32 Ki-flop
+// small-problem cutoff; every other shape dots directly.
+bool nt_packs(const Shape& s) {
+  return s.m >= 64 && s.m * s.n * s.k > 32 * 1024;
+}
+
+TEST(Gemm, NnMatchesNaiveBitwiseOnRaggedShapes) {
+  // The packed driver keeps the naive ikj loop's per-element chain: one
+  // k-ascending c += a·b, so the two agree bit for bit on every shape.
   for (const Shape& s : kRaggedShapes) {
     const Tensor a = random_tensor({s.m, s.k}, 101 + s.m);
     const Tensor b = random_tensor({s.k, s.n}, 103 + s.n);
-    Tensor c_packed({s.m, s.n}), c_unpacked({s.m, s.n});
-    gemm::gemm_nn_packed(s.m, s.n, s.k, a.data(), s.k, b.data(), s.n,
-                         c_packed.data(), s.n, /*accumulate=*/false);
-    gemm::gemm_nn_unpacked(s.m, s.n, s.k, a.data(), s.k, b.data(), s.n,
-                           c_unpacked.data(), s.n, /*accumulate=*/false);
-    EXPECT_EQ(0, std::memcmp(c_packed.data(), c_unpacked.data(),
-                             s.m * s.n * sizeof(float)))
-        << "packed/unpacked bitwise mismatch at m=" << s.m << " n=" << s.n
+    Tensor c({s.m, s.n}), ref({s.m, s.n});
+    gemm::gemm_nn(s.m, s.n, s.k, a.data(), s.k, b.data(), s.n, c.data(), s.n,
+                  /*accumulate=*/false);
+    gemm::naive_gemm_nn_acc(s.m, s.n, s.k, a.data(), b.data(), ref.data());
+    EXPECT_EQ(0, std::memcmp(c.data(), ref.data(), s.m * s.n * sizeof(float)))
+        << "nn/naive bitwise mismatch at m=" << s.m << " n=" << s.n
         << " k=" << s.k;
   }
 }
 
-TEST(Gemm, PackedAccumulateMatchesUnpackedBitwise) {
+TEST(Gemm, NnAccumulateMatchesNaiveBitwise) {
   const std::size_t m = 65, n = 67, k = 63;
   const Tensor a = random_tensor({m, k}, 111);
   const Tensor b = random_tensor({k, n}, 112);
-  Tensor c_packed({m, n}, 0.75f), c_unpacked({m, n}, 0.75f);
-  gemm::gemm_nn_packed(m, n, k, a.data(), k, b.data(), n, c_packed.data(), n,
-                       /*accumulate=*/true);
-  gemm::gemm_nn_unpacked(m, n, k, a.data(), k, b.data(), n, c_unpacked.data(),
-                         n, /*accumulate=*/true);
-  EXPECT_EQ(0, std::memcmp(c_packed.data(), c_unpacked.data(),
-                           m * n * sizeof(float)));
+  Tensor c({m, n}, 0.75f), ref({m, n}, 0.75f);
+  gemm::gemm_nn(m, n, k, a.data(), k, b.data(), n, c.data(), n,
+                /*accumulate=*/true);
+  gemm::naive_gemm_nn_acc(m, n, k, a.data(), b.data(), ref.data());
+  EXPECT_EQ(0, std::memcmp(c.data(), ref.data(), m * n * sizeof(float)));
 }
 
-TEST(Gemm, PackedExternalScratchMatchesOwnAllocation) {
-  const std::size_t m = 130, n = 150, k = 300;
-  const Tensor a = random_tensor({m, k}, 121);
-  const Tensor b = random_tensor({k, n}, 122);
-  Tensor c_own({m, n}), c_scratch({m, n});
-  gemm::gemm_nn_packed(m, n, k, a.data(), k, b.data(), n, c_own.data(), n,
-                       false, nullptr);
-  // Deliberately unaligned caller buffer: the packed kernels use unaligned
-  // loads, so external scratch only needs the documented float count.
-  std::vector<float> scratch(gemm::packed_b_floats(n, k) + 1);
-  gemm::gemm_nn_packed(m, n, k, a.data(), k, b.data(), n, c_scratch.data(), n,
-                       false, scratch.data() + 1);
-  EXPECT_EQ(0,
-            std::memcmp(c_own.data(), c_scratch.data(), m * n * sizeof(float)));
+TEST(Gemm, PackATransposedMatchesPackOfMaterializedTranspose) {
+  // pack_a_panel_t over A [k, m] must write the exact panel pack_a_panel
+  // writes over the materialized Aᵀ [m, k]: slabs ragged against kMR
+  // (1, 5, 17, 64 rows, offset starts) and K blocks ragged against kKC.
+  const std::size_t m = 70, k = 300;
+  const Tensor a = random_tensor({k, m}, 211);  // A stored [k, m]
+  const Tensor at = ops::transpose(a);          // [m, k]
+  struct Block {
+    std::size_t i0, i1, pc, kc;
+  };
+  for (const Block& b : {Block{0, 1, 0, 1}, Block{3, 8, 0, 256},
+                         Block{6, 23, 256, 44}, Block{0, 64, 0, 256},
+                         Block{6, 70, 256, 44}, Block{64, 70, 17, 3}}) {
+    const std::size_t floats =
+        (b.i1 - b.i0 + gemm::kMR - 1) / gemm::kMR * gemm::kMR * b.kc;
+    std::vector<float> got(floats, 1.0f), want(floats, 2.0f);
+    gemm::pack_a_panel_t(a.data(), m, b.i0, b.i1, b.pc, b.kc, got.data());
+    gemm::pack_a_panel(at.data(), k, b.i0, b.i1, b.pc, b.kc, want.data());
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(), floats * sizeof(float)))
+        << "panel mismatch at rows [" << b.i0 << ", " << b.i1 << ") K ["
+        << b.pc << ", " << b.pc + b.kc << ")";
+  }
 }
 
 TEST(Gemm, PackedNtMatchesPackedNnBitwise) {
   // gemm_nt's packed path packs B straight from transposed storage; it must
   // agree bitwise with gemm_nn over the materialized transpose.
-  const std::size_t m = 150, n = 130, k = 270;
-  const Tensor a = random_tensor({m, k}, 131);
-  const Tensor bt = random_tensor({n, k}, 132);  // B stored [n, k]
-  ASSERT_TRUE(gemm::gemm_nt_packs_b(m, n, k));
-  Tensor c_nt({m, n}), c_nn({m, n});
-  gemm::gemm_nt(m, n, k, a.data(), k, bt.data(), k, c_nt.data(), n);
+  const Shape s{150, 130, 270};
+  ASSERT_TRUE(nt_packs(s));
+  const Tensor a = random_tensor({s.m, s.k}, 131);
+  const Tensor bt = random_tensor({s.n, s.k}, 132);  // B stored [n, k]
+  Tensor c_nt({s.m, s.n}), c_nn({s.m, s.n});
+  gemm::gemm_nt(s.m, s.n, s.k, a.data(), s.k, bt.data(), s.k, c_nt.data(),
+                s.n);
   const Tensor b = ops::transpose(bt);  // [k, n]
-  gemm::gemm_nn_packed(m, n, k, a.data(), k, b.data(), n, c_nn.data(), n,
-                       false);
-  EXPECT_EQ(0, std::memcmp(c_nt.data(), c_nn.data(), m * n * sizeof(float)));
+  gemm::gemm_nn(s.m, s.n, s.k, a.data(), s.k, b.data(), s.n, c_nn.data(), s.n,
+                false);
+  EXPECT_EQ(0,
+            std::memcmp(c_nt.data(), c_nn.data(), s.m * s.n * sizeof(float)));
 }
 
 TEST(Gemm, PackedBitwiseReproducibleAcrossThreadCounts) {
@@ -224,24 +283,12 @@ TEST(Gemm, PackedBitwiseReproducibleAcrossThreadCounts) {
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     pool.set_num_threads(threads);
     Tensor c({m, n});
-    gemm::gemm_nn_packed(m, n, k, a.data(), k, b.data(), n, c.data(), n,
-                         false);
+    gemm::gemm_nn(m, n, k, a.data(), k, b.data(), n, c.data(), n, false);
     results.push_back(std::move(c));
   }
   pool.set_num_threads(restore);
   EXPECT_EQ(0, std::memcmp(results[0].data(), results[1].data(),
                            m * n * sizeof(float)));
-}
-
-TEST(Gemm, NtScratchFloatsCoversPackedPathOnly) {
-  // Small problems and small-m direct dots need no scratch; the packed
-  // path reports the packed-B footprint (n rounded up to whole strips).
-  EXPECT_EQ(0u, gemm::gemm_nt_scratch_floats(2, 3, 4));
-  EXPECT_EQ(0u, gemm::gemm_nt_scratch_floats(16, 200, 400));  // nt_direct
-  const std::size_t m = 150, n = 130, k = 270;
-  ASSERT_TRUE(gemm::gemm_nt_packs_b(m, n, k));
-  EXPECT_EQ(gemm::packed_b_floats(n, k), gemm::gemm_nt_scratch_floats(m, n, k));
-  EXPECT_GE(gemm::packed_b_floats(n, k), n * k);
 }
 
 TEST(Gemm, PrepackedMatchesFreshPackBitwise) {
@@ -252,8 +299,8 @@ TEST(Gemm, PrepackedMatchesFreshPackBitwise) {
     const Tensor a = random_tensor({s.m, s.k}, 151 + s.m);
     const Tensor b = random_tensor({s.k, s.n}, 153 + s.n);
     Tensor c_fresh({s.m, s.n}), c_pre({s.m, s.n});
-    gemm::gemm_nn_packed(s.m, s.n, s.k, a.data(), s.k, b.data(), s.n,
-                         c_fresh.data(), s.n, /*accumulate=*/false);
+    gemm::gemm_nn(s.m, s.n, s.k, a.data(), s.k, b.data(), s.n,
+                  c_fresh.data(), s.n, /*accumulate=*/false);
     const gemm::PackedB pb = gemm::prepack_b(s.k, s.n, b.data(), s.n);
     gemm::gemm_prepacked(s.m, s.n, s.k, a.data(), s.k, pb.panels.data(),
                          c_pre.data(), s.n);
@@ -264,7 +311,7 @@ TEST(Gemm, PrepackedMatchesFreshPackBitwise) {
 
     // Transposed-weight orientation against gemm_nt's packing path.
     const Tensor bt = random_tensor({s.n, s.k}, 155 + s.n);
-    if (gemm::gemm_nt_packs_b(s.m, s.n, s.k)) {
+    if (nt_packs(s)) {
       Tensor c_nt({s.m, s.n}), c_pre_t({s.m, s.n});
       gemm::gemm_nt(s.m, s.n, s.k, a.data(), s.k, bt.data(), s.k,
                     c_nt.data(), s.n);

@@ -8,7 +8,7 @@ hold everywhere.
 For BENCH_mvm*.json files, every section below must be present with its
 boolean gates true ("bitwise_match" unless named otherwise):
 
-    gemm_packed             packed-panel GEMM == unpacked blocked GEMM
+    gemm_packed             packed-panel gemm_nn == naive ikj loop
     gemm_prepacked          cached prepacked weight panels == fresh pack,
                             and one repack per weight version
     conv_direct             fused conv training step (y, dX, dW, bias
@@ -217,10 +217,8 @@ SERVE_SLO_GATES = [
 TRAJECTORY = [
     ("gemm", "nn", "gflops_naive", "gemm nn naive"),
     ("gemm", "nn", "gflops_blocked_1t", "gemm nn dispatch 1t"),
-    ("gemm_packed", None, "gflops_unpacked_1t", "gemm unpacked 1t"),
     ("gemm_packed", None, "gflops_packed_1t", "gemm packed 1t"),
     ("gemm_packed", None, "gflops_packed_mt", "gemm packed mt"),
-    ("gemm_packed", None, "speedup_packed_1t", "packed/unpacked 1t (x)"),
     ("gemm_prepacked", None, "gflops_cached_1t", "gemm prepacked cached 1t"),
     ("gemm_prepacked", None, "pack_overhead_ms", "pack overhead (ms)"),
     ("gemm_prepacked", None, "speedup_cached_vs_cold_1t",

@@ -29,8 +29,6 @@
 #include "common/thread_pool.hpp"
 #include "crossbar/crossbar_layers.hpp"
 #include "crossbar/hw_deploy.hpp"
-#include "crossbar/mapper.hpp"
-#include "crossbar/mvm_engine.hpp"
 #include "models/mlp.hpp"
 #include "models/vgg9.hpp"
 #include "obs/export.hpp"
@@ -376,81 +374,7 @@ Json run_slo_scenario(const serve::Backend& primary,
   return j;
 }
 
-/// Column-sharded crossbar gate (DESIGN.md §10): the mapper-defined shard
-/// sweep of one programmed array must be bitwise identical to the unsharded
-/// sweep — at the engine level (noisy pulse path, where the global-
-/// coordinate noise indexing carries the proof) and at the deployed-network
-/// level (HwDeployConfig::shard_cols threaded through every engine).
-Json run_sharded_section(GateState* gates) {
-  const char* name = "sharded_mvm";
-
-  // Engine level: a +/-0.5 binary weight, noisy pulse config, identical
-  // seeds; only shard_cols differs between the two engines.
-  Tensor w = random_tensor({40, 24}, 61);
-  for (std::size_t i = 0; i < w.numel(); ++i)
-    w.data()[i] = w.data()[i] >= 0.0f ? 0.5f : -0.5f;
-  xbar::MvmConfig mcfg;
-  mcfg.spec = enc::EncodingSpec{enc::Scheme::kThermometer, 8};
-  mcfg.sigma = 0.5;
-  mcfg.device.read_noise_sigma = 0.05;
-  mcfg.device.adc_bits = 8;
-  mcfg.device.program_variation = 0.05;
-  xbar::MvmEngine plain(w, mcfg, Rng(77));
-  xbar::MvmConfig shard_cfg = mcfg;
-  shard_cfg.shard_cols = 16;
-  xbar::MvmEngine sharded(w, shard_cfg, Rng(77));
-  const Tensor x = random_tensor({6, 24}, 63);
-  Rng r1(5), r2(5);
-  const bool engine_match =
-      bitwise_equal(plain.run_pulse_level(x, r1),
-                    sharded.run_pulse_level(x, r2));
-  if (!engine_match)
-    gates->fail(name, "sharded engine sweep is not bitwise unsharded");
-  xbar::TileShape tile;
-  tile.cols = shard_cfg.shard_cols;
-  const std::size_t num_shards = xbar::column_shards(w.dim(0), tile).size();
-
-  // Deployed-network level: two HardwareNetworks programmed from the same
-  // seed, one sharded, one not; same EvalContext seed per forward.
-  models::MlpConfig ncfg;
-  ncfg.in_features = 24;
-  ncfg.hidden = {32, 32};
-  ncfg.num_classes = 10;
-  ncfg.seed = 21;
-  models::Mlp net_a = models::build_mlp(ncfg);
-  net_a.net->set_training(false);
-  models::Mlp net_b = models::build_mlp(ncfg);
-  net_b.net->set_training(false);
-  xbar::HwDeployConfig hcfg;
-  hcfg.sigma = 0.5;
-  hcfg.device.read_noise_sigma = 0.05;
-  hcfg.device.adc_bits = 8;
-  hcfg.device.program_variation = 0.05;
-  xbar::HardwareNetwork hw_plain(*net_a.net, net_a.encoded, hcfg);
-  xbar::HwDeployConfig scfg = hcfg;
-  scfg.shard_cols = 16;
-  xbar::HardwareNetwork hw_sharded(*net_b.net, net_b.encoded, scfg);
-  const Tensor batch = random_tensor({8, ncfg.in_features}, 65);
-  nn::EvalContext ctx_a(Rng(9)), ctx_b(Rng(9));
-  const bool network_match = bitwise_equal(hw_plain.forward(batch, ctx_a),
-                                           hw_sharded.forward(batch, ctx_b));
-  if (!network_match)
-    gates->fail(name, "sharded deployed network is not bitwise unsharded");
-
-  std::printf("  [%s] shards=%zu engine_bitwise=%s network_bitwise=%s %s\n",
-              name, num_shards, engine_match ? "yes" : "no",
-              network_match ? "yes" : "no",
-              engine_match && network_match ? "OK" : "GATE-FAIL");
-
-  Json j = Json::object();
-  j.set("shard_cols", shard_cfg.shard_cols);
-  j.set("num_shards", num_shards);
-  j.set("engine_bitwise_sharded_vs_unsharded", engine_match);
-  j.set("network_bitwise_sharded_vs_unsharded", network_match);
-  return j;
-}
-
-/// Multi-replica router scenario (DESIGN.md §10): N replicas of a sharded
+/// Multi-replica router scenario (DESIGN.md §10): N replicas of a noisy
 /// pulse backend behind the deterministic router, flash-crowd overload, one
 /// replica down for the whole run. Gates, at 1 worker/replica and at
 /// --workers workers/replica:
@@ -1019,8 +943,8 @@ int main(int argc, char** argv) {
                                  scfg2, trace_out, &gates));
   }
 
-  // -- sharded multi-replica serving behind the deterministic router -------
-  // (DESIGN.md §10): the slo_flash model deployed as N sharded-crossbar
+  // -- multi-replica serving behind the deterministic router ---------------
+  // (DESIGN.md §10): the slo_flash model deployed as N noisy pulse-level
   // replicas, flash crowd + one replica in outage. Like the SLO scenario the
   // shape is fixed by --smoke alone, so the 1t and 4t artifacts describe
   // the identical (seed, trace, policy, replicas) tuple and
@@ -1034,7 +958,6 @@ int main(int argc, char** argv) {
   router_doc.set("binary_kernel", gemm::binary_kernel_name());
   router_doc.set("cpu_features", gemm::cpu_features());
   router_doc.set("trace_enabled", obs::runtime_enabled());
-  router_doc.set("sharded_mvm", run_sharded_section(&gates));
   {
     models::MlpConfig rcfg;
     rcfg.in_features = 24;
@@ -1045,15 +968,11 @@ int main(int argc, char** argv) {
     router_model.net->set_training(false);
     data::Dataset rds = random_dataset(128, rcfg.in_features, 43);
 
-    // Every replica serves through the column-sharded pulse path: the
-    // engines execute mapper-defined shards, the payload gates pin the
-    // result to the unsharded bits (run_sharded_section above).
     xbar::HwDeployConfig hw_cfg;
     hw_cfg.sigma = 0.5;
     hw_cfg.device.read_noise_sigma = 0.05;
     hw_cfg.device.adc_bits = 8;
     hw_cfg.device.program_variation = 0.05;
-    hw_cfg.shard_cols = 16;
     xbar::HardwareNetwork hw(*router_model.net, router_model.encoded, hw_cfg);
     serve::PulseBackend primary(hw);
     serve::AnalyticBackend fallback(*router_model.net, /*stochastic=*/false);

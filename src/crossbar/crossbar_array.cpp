@@ -138,7 +138,7 @@ void CrossbarArray::certify_exact_tile_sums() {
   if (max_abs > 0.0 && !(2.0 * static_cast<double>(tile_cols_) * max_abs <
                          std::ldexp(1.0, q + 53)))
     return;
-  cells_t_stride_ = out_ + kLanes - 1;  // a lane block may start at any o
+  cells_t_stride_ = (out_ + kLanes - 1) / kLanes * kLanes;  // whole blocks
   cells_t_.assign(in_ * cells_t_stride_, 0.0);
   for (std::size_t o = 0; o < out_; ++o)
     for (std::size_t j = 0; j < in_; ++j)
@@ -232,11 +232,7 @@ void CrossbarArray::fill_read_noise(std::size_t batch, Rng& rng,
 
 void CrossbarArray::mvm_pulse_train(const PulseCodes& x,
                                     const double* read_noise,
-                                    const PulseSink& sink, std::size_t o_begin,
-                                    std::size_t o_end) const {
-  if (o_begin >= o_end || o_end > out_)
-    throw std::invalid_argument(
-        "CrossbarArray::mvm_pulse_train: bad output range");
+                                    const PulseSink& sink) const {
   const std::size_t num_pulses = x.spec.num_pulses;
   const std::size_t batch = x.batch;
   if (num_pulses == 0 || batch == 0) return;
@@ -251,10 +247,9 @@ void CrossbarArray::mvm_pulse_train(const PulseCodes& x,
     throw std::invalid_argument(
         "CrossbarArray::mvm_pulse_train: read noise enabled but no draws "
         "provided");
-  const std::size_t span = o_end - o_begin;
   GBO_TRACE_SPAN(obs::EventType::kPulseMvm, batch,
                  static_cast<std::uint16_t>(num_pulses),
-                 batch * span * in_ * num_pulses);
+                 batch * out_ * in_ * num_pulses);
 
   const bool offset = cfg_.mapping == WeightMapping::kOffset;
   const bool thermometer = x.spec.scheme == enc::Scheme::kThermometer;
@@ -291,7 +286,7 @@ void CrossbarArray::mvm_pulse_train(const PulseCodes& x,
   // ADC and accumulate across tiles exactly as in mvm_pulse (double totals
   // under differential mapping, float under offset), so neither the split
   // into row blocks nor the lane blocks over outputs can change a bit.
-  const std::size_t row_work = span * (in_ + num_tiles_ * num_pulses);
+  const std::size_t row_work = out_ * (in_ + num_tiles_ * num_pulses);
   const std::size_t grain =
       std::max<std::size_t>(1, 65536 / std::max<std::size_t>(row_work, 1));
   parallel_for(0, batch, grain, [&](std::size_t lo, std::size_t hi) {
@@ -300,8 +295,8 @@ void CrossbarArray::mvm_pulse_train(const PulseCodes& x,
     std::vector<std::size_t> level_end(levels);
     std::vector<double> sums(levels * kLanes), ref_sums(levels);
     std::vector<double> ref_current(num_pulses);
-    std::vector<double> total(offset ? 0 : span * num_pulses);
-    std::vector<float> row_acc(offset ? span * num_pulses : 0);
+    std::vector<double> total(offset ? 0 : out_ * num_pulses);
+    std::vector<float> row_acc(offset ? out_ * num_pulses : 0);
     std::vector<float> element(num_pulses);
 
     for (std::size_t n = lo; n < hi; ++n) {
@@ -337,14 +332,14 @@ void CrossbarArray::mvm_pulse_train(const PulseCodes& x,
             ref_current[p] = adc_quantize(cfg_, rc, auto_fs);
           }
         }
-        for (std::size_t b = o_begin; b < o_end; b += kLanes) {
+        for (std::size_t b = 0; b < out_; b += kLanes) {
           if (buckets)
             bucket_sums<kLanes>(cells_t_.data() + j0 * cells_t_stride_ + b,
                                 cells_t_stride_, order.data(),
                                 level_end.data(), levels, sums.data());
-          for (std::size_t o = b; o < std::min(b + kLanes, o_end); ++o) {
+          for (std::size_t o = b; o < std::min(b + kLanes, out_); ++o) {
             const float* w = cells.data() + o * in_ + j0;
-            const std::size_t at = (o - o_begin) * num_pulses;
+            const std::size_t at = o * num_pulses;
             for (std::size_t p = 0; p < num_pulses; ++p) {
               double c = buckets
                              ? exact_current(sums.data() + (o - b), kLanes, p)
@@ -363,8 +358,8 @@ void CrossbarArray::mvm_pulse_train(const PulseCodes& x,
           }
         }
       }
-      for (std::size_t o = o_begin; o < o_end; ++o) {
-        const std::size_t at = (o - o_begin) * num_pulses;
+      for (std::size_t o = 0; o < out_; ++o) {
+        const std::size_t at = o * num_pulses;
         if (offset) {
           sink(n * out_ + o, row_acc.data() + at);
         } else {

@@ -10,7 +10,10 @@
 //
 // Arrays wider than `tile_cols` are split into column tiles whose partial
 // currents are summed digitally after the per-tile ADC — the standard
-// bit-partitioned mapping (ISAAC, PRIME).
+// bit-partitioned mapping (ISAAC, PRIME). The fused pulse sweep
+// (mvm_pulse_train) always covers every output line of the array; its
+// read noise arrives pre-drawn, so the caller decides which stream draws
+// which batch row (MvmEngine, DESIGN.md §6).
 #pragma once
 
 #include "crossbar/device_model.hpp"
@@ -69,18 +72,14 @@ class CrossbarArray {
     const std::uint32_t* codes = nullptr;
   };
 
-  /// Fused multi-pulse MVM over output lines [o_begin, o_end): computes
-  /// what mvm_pulse returns for every pulse of `x` and streams each
-  /// element's per-pulse results to `sink` instead of materializing one
-  /// output tensor per pulse. `read_noise` must be null when read noise is
-  /// disabled, else hold num_pulses * read_noise_draws(batch) values laid
-  /// out pulse-major, each pulse's slice filled by fill_read_noise. It
-  /// spans the FULL (row, output, tile) index space even for a sub-range:
-  /// every element's arithmetic and noise lookup is keyed by its global
-  /// coordinates, which is what makes a sharded sweep (ascending disjoint
-  /// ranges, see xbar::column_shards) bitwise identical to one full-range
-  /// call. Values handed to the sink are bitwise identical to calling
-  /// mvm_pulse per pulse with the same noise stream, at any thread count.
+  /// Fused multi-pulse MVM: computes what mvm_pulse returns for every
+  /// pulse of `x` and streams each element's per-pulse results to `sink`
+  /// instead of materializing one output tensor per pulse. `read_noise`
+  /// must be null when read noise is disabled, else hold num_pulses *
+  /// read_noise_draws(batch) values laid out pulse-major, each pulse's
+  /// slice filled by fill_read_noise. Values handed to the sink are bitwise
+  /// identical to calling mvm_pulse per pulse with the same noise stream,
+  /// at any thread count.
   ///
   /// Two ways to the same bits (DESIGN.md §12). When the array holds the
   /// exactness certificate (exact_tile_sums()) and the code is a
@@ -94,8 +93,7 @@ class CrossbarArray {
   /// of mvm_pulse, with each ±1 derived from the code. Read noise and the
   /// ADC apply after the tile sum either way, as in mvm_pulse.
   void mvm_pulse_train(const PulseCodes& x, const double* read_noise,
-                       const PulseSink& sink, std::size_t o_begin,
-                       std::size_t o_end) const;
+                       const PulseSink& sink) const;
 
   /// The exactness certificate, checked once at construction over every
   /// cell value the pulse sweep reads (eff_weight_ under differential
@@ -126,8 +124,9 @@ class CrossbarArray {
   Tensor raw_g_;       // [out, in]
   Tensor ref_g_;       // [in]
   // The cells the pulse sweep reads (eff_weight_, or raw_g_ under offset
-  // mapping) transposed to [in, cells_t_stride_] doubles with zero padding,
-  // so one column's outputs sit side by side for the level-bucket sums.
+  // mapping) transposed to [in, cells_t_stride_] doubles, zero-padded to a
+  // whole number of lane blocks, so one column's outputs sit side by side
+  // for the level-bucket sums.
   // Empty when the exactness certificate fails.
   std::vector<double> cells_t_;
   std::size_t cells_t_stride_ = 0;

@@ -103,16 +103,12 @@ class CrossbarLinear : public nn::Module {
     throw std::logic_error("CrossbarLinear is inference-only");
   }
   /// Stateless pulse-level inference: read noise, ADC, and Eq. 1 output
-  /// noise all drawn from the per-trial context stream over the frozen
-  /// (read-only) programmed array; noise scratch and the output recycle
-  /// through the context's arena when one is attached. With per-sample
-  /// streams in the context (fused stochastic serving, DESIGN.md §6) each
-  /// batch row draws from its own request stream instead.
+  /// noise all drawn from the context's streams (one per request in fused
+  /// stochastic serving, DESIGN.md §6) over the frozen (read-only)
+  /// programmed array; noise scratch and the output recycle through the
+  /// context's arena when one is attached.
   Tensor infer(const Tensor& x, nn::EvalContext& ctx) const override {
-    if (ctx.per_sample())
-      return engine_.run_pulse_level(x, ctx.row_rngs.data(),
-                                     ctx.row_rngs.size(), ctx.arena);
-    return engine_.run_pulse_level(x, ctx.rng, ctx.arena);
+    return engine_.run_pulse_level(x, ctx.streams(), ctx.arena);
   }
   std::string kind() const override { return "CrossbarLinear"; }
 

@@ -40,7 +40,6 @@ HardwareNetwork::HardwareNetwork(nn::Sequential& net,
     mcfg.sigma = cfg_.sigma;
     mcfg.device = cfg_.device;
     mcfg.tile_cols = cfg_.tile_cols;
-    mcfg.shard_cols = cfg_.shard_cols;
     engine_index_[module] = engines_.size();
     engines_.push_back(
         std::make_unique<MvmEngine>(binary, mcfg, rng.fork(1000 + i)));
@@ -70,29 +69,21 @@ Tensor HardwareNetwork::forward(const Tensor& x, nn::EvalContext& ctx) const {
       next = module.infer(*in, ctx);
     } else {
       const MvmEngine& engine = *engines_[it->second];
-      // Per-sample streams (DESIGN.md §6): with row streams in the context
-      // each sample's pulse noise comes from its own request fork — for a
-      // conv layer the engine groups the sample's oh·ow patch rows onto one
-      // stream, exactly as a unit batch would consume them.
-      auto run = [&](const Tensor& act) {
-        if (ctx.per_sample())
-          return engine.run_pulse_level(act, ctx.row_rngs.data(),
-                                        ctx.row_rngs.size(), ctx.arena);
-        return engine.run_pulse_level(act, ctx.rng, ctx.arena);
-      };
+      // A conv layer's oh·ow patch rows per sample are one run of rows,
+      // so each stream draws for whole samples (DESIGN.md §6).
       if (const quant::QuantConv2d* conv = conv_of_engine_[it->second]) {
         const std::size_t batch = in->dim(0);
         const ConvGeom& g = conv->geom();
         Tensor cols = ctx.make({batch * g.out_h() * g.out_w(), g.patch_len()});
         im2col_into(*in, g, cols.data());
-        Tensor rows = run(cols);
+        Tensor rows = engine.run_pulse_level(cols, ctx.streams(), ctx.arena);
         ctx.recycle(std::move(cols));
         next = ctx.make({batch, conv->out_channels(), g.out_h(), g.out_w()});
         rows_to_nchw_into(rows.data(), batch, conv->out_channels(), g.out_h(),
                           g.out_w(), next.data());
         ctx.recycle(std::move(rows));
       } else {
-        next = run(*in);
+        next = engine.run_pulse_level(*in, ctx.streams(), ctx.arena);
       }
     }
     if (in != &x) ctx.recycle(std::move(cur));
@@ -128,10 +119,6 @@ float HardwareNetwork::evaluate(const data::Dataset& test,
     seen += n;
   }
   return static_cast<float>(correct) / static_cast<float>(seen);
-}
-
-bool HardwareNetwork::per_sample_capable() const {
-  return quant::hooks_support_row_streams(net_);
 }
 
 std::size_t HardwareNetwork::total_cells() const {

@@ -33,11 +33,6 @@ struct HwDeployConfig {
   enc::Scheme scheme = enc::Scheme::kThermometer;
   std::vector<std::size_t> pulses;  // per encoded layer; empty = uniform 8
   std::size_t tile_cols = 128;
-  /// Output-axis shard width for every programmed engine (MvmConfig::
-  /// shard_cols): wide layers execute as mapper-defined column shards with
-  /// a deterministic ascending reduce, bitwise equal to the unsharded
-  /// sweep. 0 disables sharding.
-  std::size_t shard_cols = 0;
   std::uint64_t seed = 1;
 };
 
@@ -69,8 +64,8 @@ class HardwareNetwork {
 
   /// Const/shared-safe pulse-level inference: digital layers run the
   /// stateless infer path, crossbar layers the const engine overload; all
-  /// randomness comes from ctx.rng (network order) and scratch recycles
-  /// through ctx.arena when attached.
+  /// randomness comes from ctx.streams() (network order) and scratch
+  /// recycles through ctx.arena when attached.
   Tensor forward(const Tensor& x, nn::EvalContext& ctx) const;
 
   /// Classification accuracy over a dataset. Degenerate inputs (empty
@@ -84,13 +79,6 @@ class HardwareNetwork {
   bool deterministic() const {
     return cfg_.sigma <= 0.0 && cfg_.device.read_noise_sigma <= 0.0;
   }
-
-  /// True when every stochastic site of the const forward supports
-  /// per-sample row streams (DESIGN.md §6): the programmed engines always
-  /// do, so this only rejects a digital layer carrying a live noise hook
-  /// that cannot draw per row. The serving runtime then fuses stochastic
-  /// micro-batches instead of falling back to unit batches.
-  bool per_sample_capable() const;
 
   std::size_t num_crossbar_layers() const { return engines_.size(); }
 

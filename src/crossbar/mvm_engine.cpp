@@ -1,6 +1,6 @@
 #include "crossbar/mvm_engine.hpp"
 
-#include "crossbar/mapper.hpp"
+#include "nn/eval_context.hpp"
 #include "obs/trace.hpp"
 #include "tensor/ops.hpp"
 
@@ -72,33 +72,17 @@ std::vector<float> MvmEngine::normalized_pulse_weights() const {
 }
 
 Tensor MvmEngine::run_pulse_level(const Tensor& activations) {
-  return run_pulse_level(activations, rng_);
+  return run_pulse_level(activations, {&rng_, 1});
 }
 
-Tensor MvmEngine::run_pulse_level(const Tensor& activations, Rng& rng,
+Tensor MvmEngine::run_pulse_level(const Tensor& activations,
+                                  std::span<Rng> streams,
                                   ScratchArena* arena) const {
-  return run_pulse_level_streams(activations, &rng, 1, arena);
-}
-
-Tensor MvmEngine::run_pulse_level(const Tensor& activations, Rng* row_rngs,
-                                  std::size_t num_streams,
-                                  ScratchArena* arena) const {
-  if (activations.ndim() != 2)
-    throw std::invalid_argument("MvmEngine: expected [N, in] activations, got " +
-                                activations.shape_str());
-  if (num_streams == 0 || activations.dim(0) % num_streams != 0)
-    throw std::invalid_argument(
-        "MvmEngine: batch must be a whole multiple of num_streams");
-  return run_pulse_level_streams(activations, row_rngs, num_streams, arena);
-}
-
-Tensor MvmEngine::run_pulse_level_streams(const Tensor& activations,
-                                          Rng* rngs, std::size_t num_streams,
-                                          ScratchArena* arena) const {
   if (activations.ndim() != 2 || activations.dim(1) != array_.cols())
     throw std::invalid_argument("MvmEngine: expected [N, in] activations, got " +
                                 activations.shape_str());
   const std::size_t batch = activations.dim(0);
+  const std::size_t group = nn::stream_rows(batch, streams.size());
   const std::size_t out_n = array_.rows();
   const std::size_t num_pulses = cfg_.spec.num_pulses;
   // An empty pulse train (num_pulses == 0) contributes no current: the
@@ -118,14 +102,13 @@ Tensor MvmEngine::run_pulse_level_streams(const Tensor& activations,
   // draw time, matching the reference's cast at add time). This frees the
   // fused sweep below to visit pulses in weight-tile order while staying
   // bitwise identical to run_pulse_level_reference for the same seed.
-  // With per-sample streams (num_streams > 1, DESIGN.md §6) the same order
-  // is replayed per sample group from that sample's own generator — each
-  // group's draws land in its contiguous slice of the pulse-major buffers,
-  // so the sweep below is oblivious to how the noise was drawn.
+  // Each stream replays that order for its own run of `group` rows
+  // (DESIGN.md §6), its draws landing in the run's contiguous slice of the
+  // pulse-major buffers, so the sweep below is oblivious to how the noise
+  // was drawn.
   // The code and draw buffers are the pulse path's transients; with an
   // arena they are bump scratch instead of per-call vectors.
   const std::size_t stride = array_.read_noise_draws(batch);
-  const std::size_t group = batch / num_streams;
   const std::size_t group_rn = array_.read_noise_draws(group);
   const std::size_t group_bn = group * out_n;
   ArenaFrame frame(arena);
@@ -150,8 +133,8 @@ Tensor MvmEngine::run_pulse_level_streams(const Tensor& activations,
   // One level code per activation element stands for the whole pulse
   // train: pulse tensors are never built on this path.
   encode_codes(activations, codes);
-  for (std::size_t s = 0; s < num_streams; ++s) {
-    Rng& rng = rngs[s];
+  for (std::size_t s = 0; s < streams.size(); ++s) {
+    Rng& rng = streams[s];
     for (std::size_t i = 0; i < num_pulses; ++i) {
       if (stride > 0)
         array_.fill_read_noise(group, rng,
@@ -188,19 +171,7 @@ Tensor MvmEngine::run_pulse_level_streams(const Tensor& activations,
         po[idx] = acc;
       };
   const CrossbarArray::PulseCodes x{cfg_.spec, batch, codes};
-  const double* rn = stride > 0 ? read_noise : nullptr;
-  if (cfg_.shard_cols == 0 || cfg_.shard_cols >= out_n) {
-    array_.mvm_pulse_train(x, rn, decode, 0, out_n);
-  } else {
-    // Column-sharded execution (DESIGN.md §10): the mapper fixes the shard
-    // geometry, each shard is a range-restricted sweep of the same
-    // programmed array, and the reduce is the ascending concatenation of
-    // disjoint output slices — bitwise equal to the single sweep above.
-    TileShape tile;
-    tile.cols = cfg_.shard_cols;
-    for (const auto& shard : column_shards(out_n, tile))
-      array_.mvm_pulse_train(x, rn, decode, shard.first, shard.second);
-  }
+  array_.mvm_pulse_train(x, stride > 0 ? read_noise : nullptr, decode);
   return out;
 }
 

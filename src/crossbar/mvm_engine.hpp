@@ -7,7 +7,9 @@
 // activations, scaled by the digital weight scale) plus one Gaussian sample
 // with the closed-form accumulated variance — the distribution the paper
 // derives in Eq. 2–4. test_mvm_equivalence.cpp verifies the two modes agree
-// in mean and variance for both encodings across pulse counts.
+// in mean and variance for both encodings across pulse counts. The
+// stateless pulse entry draws from a span of streams, one per run of
+// batch rows (EvalContext::streams(), DESIGN.md §6).
 #pragma once
 
 #include "crossbar/crossbar_array.hpp"
@@ -16,6 +18,8 @@
 #include "encoding/thermometer.hpp"
 #include "tensor/arena.hpp"
 
+#include <span>
+
 namespace gbo::xbar {
 
 struct MvmConfig {
@@ -23,13 +27,6 @@ struct MvmConfig {
   double sigma = 0.0;             // per-pulse output noise std (Eq. 1)
   DeviceConfig device;            // device non-idealities (default ideal)
   std::size_t tile_cols = 128;    // crossbar tile width
-  /// Output-axis (bit-line) shard width for the pulse path: layers wider
-  /// than this run as a fixed ascending sequence of column shards (one per
-  /// mapper column-tile, xbar::column_shards), each a range-restricted
-  /// crossbar sweep writing its disjoint output slice. Bitwise identical to
-  /// the unsharded sweep — every element's arithmetic and noise lookup is
-  /// keyed by global coordinates. 0 disables sharding.
-  std::size_t shard_cols = 0;
 };
 
 class MvmEngine {
@@ -46,28 +43,21 @@ class MvmEngine {
   /// run_pulse_level_reference for the same seed, at any thread count.
   /// An empty pulse train yields an explicit zero [N, out] result.
   ///
-  /// Each stochastic mode comes in two flavours: the classic one consuming
-  /// the engine-owned stream (rng_), and a const overload drawing every
-  /// stochastic term from a caller-supplied Rng — the stateless-inference
-  /// variant, safe to call concurrently with distinct generators over one
-  /// programmed array (the frozen device state is read-only). The const
-  /// overload optionally routes its pre-drawn noise buffers and the output
-  /// through a caller-owned scratch arena (serving workers; results are
-  /// bitwise identical with and without one).
+  ///
+  /// The mutable overload consumes the engine-owned stream (rng_). The
+  /// const overload is the stateless-inference entry, safe to call
+  /// concurrently with distinct streams over one programmed array (the
+  /// frozen device state is read-only): stream s of `streams` covers the
+  /// s-th run of N / streams.size() consecutive rows (nn::stream_rows; a
+  /// conv layer's per-sample patch rows form one run) and draws that run's
+  /// read and output noise in exactly the order one stream draws it for a
+  /// batch holding only those rows. So one stream is the classic per-trial
+  /// draw, and one stream per request makes a fused micro-batch bitwise
+  /// row-equal to per-request execution (DESIGN.md §6). Pre-drawn noise
+  /// buffers and the output optionally recycle through a caller-owned
+  /// scratch arena (serving workers; bitwise identical without one).
   Tensor run_pulse_level(const Tensor& activations);
-  Tensor run_pulse_level(const Tensor& activations, Rng& rng,
-                         ScratchArena* arena = nullptr) const;
-
-  /// Per-sample stream variant (DESIGN.md §6): activations [N, in] with
-  /// N = num_streams · g for some whole g (g > 1 when a conv layer feeds
-  /// its per-sample patch rows through one call). Sample s's read and
-  /// output noise is drawn from row_rngs[s] in exactly the order the
-  /// single-stream overload draws it for a unit batch holding sample s
-  /// alone, so fused stochastic micro-batches are bitwise row-equal to
-  /// per-request execution at any batch composition. num_streams == 1 with
-  /// rng == &row_rngs[0] degenerates to the overload above.
-  Tensor run_pulse_level(const Tensor& activations, Rng* row_rngs,
-                         std::size_t num_streams,
+  Tensor run_pulse_level(const Tensor& activations, std::span<Rng> streams,
                          ScratchArena* arena = nullptr) const;
 
   /// Retained pre-fusion scalar path (one crossbar read per pulse). Kept as
@@ -87,14 +77,6 @@ class MvmEngine {
   const CrossbarArray& array() const { return array_; }
 
  private:
-  /// Shared pulse-level body: draws per-stream noise (stream s covers
-  /// batch/num_streams consecutive rows), then runs the fused batch-major
-  /// sweep. Both public overloads funnel here; num_streams == 1 reproduces
-  /// the historical single-stream draw order exactly.
-  Tensor run_pulse_level_streams(const Tensor& activations, Rng* rngs,
-                                 std::size_t num_streams,
-                                 ScratchArena* arena) const;
-
   Tensor encode_and_snap(const Tensor& activations) const;
   /// Validates [N, in] shape and encodes per the configured scheme into
   /// pulse tensors (the reference path).

@@ -36,29 +36,22 @@ void GaussianNoiseHook::on_forward(Tensor& out) {
   add_output_noise(out, rng_);
 }
 
-void GaussianNoiseHook::infer_input(Tensor& x, Rng& /*rng*/) const {
+void GaussianNoiseHook::infer_input(Tensor& x) const {
   if (!enabled_) return;
   snap_input(x);
 }
 
-void GaussianNoiseHook::infer_output(Tensor& out, Rng& rng) const {
-  if (!enabled_) return;
-  add_output_noise(out, rng);
-}
-
-void GaussianNoiseHook::infer_output_rows(Tensor& out, Rng* rngs,
-                                          std::size_t num_streams) const {
-  if (!enabled_ || sigma_ <= 0.0) return;  // no draws, matching unit batches
-  if (num_streams == 0 || out.ndim() == 0 || out.dim(0) != num_streams)
-    throw std::invalid_argument(
-        "GaussianNoiseHook::infer_output_rows: stream/batch mismatch");
+void GaussianNoiseHook::infer_output(Tensor& out,
+                                     std::span<Rng> streams) const {
+  if (!enabled_ || sigma_ <= 0.0) return;  // no draws, no stream check
+  nn::stream_rows(out.dim(0), streams.size());  // validates the split
   const double std = sigma_ * std::sqrt(spec_.noise_variance_factor());
-  const std::size_t row = out.numel() / num_streams;
+  const std::size_t run = out.numel() / streams.size();
   float* p = out.data();
-  // Row r consumes exactly the `row` normals infer_output would draw for a
-  // unit batch holding row r — same std, same element order.
-  for (std::size_t r = 0; r < num_streams; ++r)
-    ops::add_normal(p + r * row, row, rngs[r], std);
+  // Stream s draws its rows' normals in element order — with one stream,
+  // exactly add_output_noise's single draw over the whole tensor.
+  for (std::size_t s = 0; s < streams.size(); ++s)
+    ops::add_normal(p + s * run, run, streams[s], std);
 }
 
 }  // namespace gbo::xbar

@@ -45,21 +45,13 @@ class GaussianNoiseHook : public quant::MvmNoiseHook {
   void on_forward(Tensor& out) override;
 
   /// Stateless counterparts (Module::infer path): identical transforms, the
-  /// noise drawn from the per-trial context stream instead of the member
-  /// generator. Const, so one hook serves concurrent trial contexts.
-  void infer_input(Tensor& x, Rng& rng) const override;
-  void infer_output(Tensor& out, Rng& rng) const override;
+  /// noise drawn from the context's streams instead of the member
+  /// generator — per stream, the same draws on_forward takes for its rows.
+  /// Const, so one hook serves concurrent trial contexts.
+  void infer_input(Tensor& x) const override;
+  void infer_output(Tensor& out, std::span<Rng> streams) const override;
 
-  /// Per-sample streams (DESIGN.md §6): row r's noise comes from rngs[r] —
-  /// for each row, the same draws infer_output takes for a unit batch.
-  void infer_output_rows(Tensor& out, Rng* rngs,
-                         std::size_t num_streams) const override;
-
-  /// infer_input only snaps (no draws) and infer_output_rows is
-  /// implemented, so stochastic micro-batches may fuse over this hook.
-  bool supports_row_streams() const override { return true; }
-
-  /// Draws from the context stream only when enabled with sigma > 0.
+  /// Draws from the context streams only when enabled with sigma > 0.
   bool stochastic() const override { return enabled_ && sigma_ > 0.0; }
 
  private:

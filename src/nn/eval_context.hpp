@@ -13,8 +13,8 @@
 // fork(seed, trial_id) from a controller-owned root stream, so trial t
 // draws an identical noise stream whether trials run sequentially or in
 // parallel, at any thread count. Within one forward pass the layers consume
-// ctx.rng in network order, which is fixed, so a (seed, trial_id) pair
-// fully determines every sample of the trial.
+// ctx.streams() in network order, which is fixed, so a (seed, trial_id)
+// pair fully determines every sample of the trial.
 //
 // Scratch arena (DESIGN.md §4): a long-lived context may attach a
 // worker-owned ScratchArena; the layers then route their temporaries
@@ -27,6 +27,9 @@
 #include "common/rng.hpp"
 #include "tensor/arena.hpp"
 
+#include <cstddef>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 namespace gbo::nn {
@@ -34,22 +37,24 @@ namespace gbo::nn {
 struct EvalContext {
   /// Deterministic per-context stream; consumed in network order by every
   /// stochastic component of the inference path (noise hooks, pulse-level
-  /// crossbar reads).
+  /// crossbar reads) unless row_rngs is set.
   Rng rng;
 
-  /// Per-sample RNG streams (DESIGN.md §6): when non-empty, the batch rows
-  /// of this inference belong to row_rngs.size() independent requests and
-  /// every stochastic site draws row r's noise from row_rngs[r] (each
-  /// stream consumed in network order across sites), never from `rng`. The
-  /// serving runtime populates them as fork(seed, request_id) per row,
-  /// which makes a fused micro-batch bitwise row-equal to per-request
-  /// execution: for a unit batch the single row stream is consumed exactly
-  /// as `rng` would be, so the classic per-request contract is a special
-  /// case. Empty (the default) preserves single-stream behaviour exactly.
+  /// Per-request RNG streams (DESIGN.md §6): when non-empty, the batch rows
+  /// of this inference belong to row_rngs.size() independent requests. The
+  /// serving runtime sets them to fork(seed, request_id) per row, which
+  /// makes a fused micro-batch bitwise row-equal to per-request execution.
   std::vector<Rng> row_rngs;
 
-  /// True when stochastic sites must use the per-sample streams.
-  bool per_sample() const { return !row_rngs.empty(); }
+  /// The streams every stochastic site draws from: row_rngs when set, else
+  /// the single stream `rng`. Stream s covers the s-th of streams().size()
+  /// equal runs of consecutive batch rows (stream_rows), each stream
+  /// consumed in network order across sites. One stream over a whole batch
+  /// is exactly the classic single-stream draw.
+  std::span<Rng> streams() {
+    return row_rngs.empty() ? std::span<Rng>(&rng, 1)
+                            : std::span<Rng>(row_rngs);
+  }
 
   /// Optional worker-owned scratch arena (never shared between threads);
   /// nullptr preserves the plain allocating behaviour exactly.
@@ -73,5 +78,15 @@ struct EvalContext {
     if (arena) arena->put(std::move(t));
   }
 };
+
+/// Rows of a `rows`-row batch that each of `num_streams` streams covers:
+/// stream s draws for rows [s·g, (s+1)·g). Throws std::invalid_argument
+/// unless num_streams > 0 and divides rows.
+inline std::size_t stream_rows(std::size_t rows, std::size_t num_streams) {
+  if (num_streams == 0 || rows % num_streams != 0)
+    throw std::invalid_argument(
+        "EvalContext: batch rows must be a whole multiple of the streams");
+  return rows / num_streams;
+}
 
 }  // namespace gbo::nn

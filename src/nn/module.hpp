@@ -56,8 +56,8 @@ class Module {
 
   /// Stateless eval-mode forward: mutates neither the module nor any shared
   /// state, so concurrent calls with distinct contexts are safe. Randomness
-  /// (crossbar noise, pulse-level reads) comes from ctx.rng. Default throws;
-  /// every concrete layer of this library overrides it.
+  /// (crossbar noise, pulse-level reads) comes from ctx.streams(). Default
+  /// throws; every concrete layer of this library overrides it.
   virtual Tensor infer(const Tensor& x, EvalContext& ctx) const;
 
   /// Direct child modules, for read-only tree walks (the serving backend's

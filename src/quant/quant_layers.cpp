@@ -13,17 +13,6 @@
 namespace gbo::quant {
 namespace {
 
-/// Hook dispatch shared by both quant layers: per-sample row streams when
-/// the context carries them (fused stochastic serving, DESIGN.md §6), the
-/// classic single-stream draw otherwise.
-void apply_output_hook(const MvmNoiseHook& hook, Tensor& out,
-                       gbo::nn::EvalContext& ctx) {
-  if (ctx.per_sample())
-    hook.infer_output_rows(out, ctx.row_rngs.data(), ctx.row_rngs.size());
-  else
-    hook.infer_output(out, ctx.rng);
-}
-
 /// The digital-scale epilogue (DESIGN.md §8): one elementwise multiply after
 /// the unscaled ±1 MVM. Shared verbatim by forward and infer — the multiply
 /// is per-element, so the two paths (and the binary/float MVM routes
@@ -45,25 +34,10 @@ std::uint8_t* scratch_bytes(gbo::nn::EvalContext& ctx, std::size_t n,
 
 }  // namespace
 
-void MvmNoiseHook::infer_output(Tensor& /*out*/, Rng& /*rng*/) const {
+void MvmNoiseHook::infer_output(Tensor& /*out*/,
+                                std::span<Rng> /*streams*/) const {
   throw std::logic_error(
       "MvmNoiseHook: this hook does not support stateless inference");
-}
-
-void MvmNoiseHook::infer_output_rows(Tensor& /*out*/, Rng* /*rngs*/,
-                                     std::size_t /*num_streams*/) const {
-  throw std::logic_error(
-      "MvmNoiseHook: this hook does not support per-sample row streams");
-}
-
-bool hooks_support_row_streams(const gbo::nn::Module& m) {
-  if (const auto* h = dynamic_cast<const Hookable*>(&m))
-    if (h->noise_hook() != nullptr && h->noise_hook()->stochastic() &&
-        !h->noise_hook()->supports_row_streams())
-      return false;
-  for (const gbo::nn::Module* child : m.children())
-    if (!hooks_support_row_streams(*child)) return false;
-  return true;
 }
 
 void BinaryPanelCache::get(const Tensor& latent, bool scaled, std::size_t n,
@@ -207,11 +181,11 @@ Tensor QuantConv2d::infer(const Tensor& x, gbo::nn::EvalContext& ctx) const {
   gbo::ArenaFrame frame(ctx.arena);
   Tensor xin = ctx.make(x.shape());
   std::copy(x.data(), x.data() + x.numel(), xin.data());
-  hook_->infer_input(xin, ctx.rng);
+  hook_->infer_input(xin);
   Tensor out = infer_mvm(xin, ctx, bw, panels, *bsigns);
   ctx.recycle(std::move(xin));
   scale_output(out, scaled_, scale);
-  apply_output_hook(*hook_, out, ctx);
+  hook_->infer_output(out, ctx.streams());
   return out;
 }
 
@@ -299,11 +273,11 @@ Tensor QuantLinear::infer(const Tensor& x, gbo::nn::EvalContext& ctx) const {
   gbo::ArenaFrame frame(ctx.arena);
   Tensor xin = ctx.make(x.shape());
   std::copy(x.data(), x.data() + x.numel(), xin.data());
-  hook_->infer_input(xin, ctx.rng);
+  hook_->infer_input(xin);
   Tensor out = infer_mvm(xin, ctx, bw, panels, *bsigns);
   ctx.recycle(std::move(xin));
   scale_output(out, scaled_, scale);
-  apply_output_hook(*hook_, out, ctx);
+  hook_->infer_output(out, ctx.streams());
   return out;
 }
 

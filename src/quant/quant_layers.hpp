@@ -16,6 +16,9 @@
 //   * noisy evaluation       -> GaussianNoiseHook (src/crossbar)
 //   * NIA fine-tuning        -> GaussianNoiseHook while training weights
 //   * GBO λ training         -> GboNoiseHook (src/gbo) — α-weighted mixture
+// The stateless infer path calls the hook's const counterparts with the
+// context's noise streams (EvalContext::streams(), DESIGN.md §6): one
+// stream per trial, or one per request in a fused serving batch.
 #pragma once
 
 #include "nn/conv2d.hpp"
@@ -24,6 +27,7 @@
 #include "tensor/gemm_binary.hpp"
 
 #include <atomic>
+#include <span>
 #include <vector>
 
 namespace gbo::quant {
@@ -52,31 +56,23 @@ class MvmNoiseHook {
   // -- stateless inference path ---------------------------------------------
   // Counterparts of on_input/on_forward used by Module::infer: identical
   // transforms, but const on the hook with every random draw taken from the
-  // caller's per-trial EvalContext stream, so one hook instance can serve
-  // any number of concurrent inference contexts. Training-only hooks (the
-  // GBO λ mixture states) keep the defaults: input pass-through, and a
-  // throwing infer_output — λ training has no stateless evaluation mode.
+  // caller's EvalContext streams, so one hook instance can serve any number
+  // of concurrent inference contexts. Training-only hooks (the GBO λ
+  // mixture states) keep the defaults: input pass-through, and a throwing
+  // infer_output — λ training has no stateless evaluation mode.
 
-  virtual void infer_input(Tensor& /*x*/, Rng& /*rng*/) const {}
-  virtual void infer_output(Tensor& out, Rng& rng) const;
+  /// Input transform; draws nothing (the encoder side is deterministic).
+  virtual void infer_input(Tensor& /*x*/) const {}
 
-  /// Per-sample-stream counterpart of infer_output (DESIGN.md §6): `out`
-  /// holds one batch row per entry of rngs[0..num_streams); row r's draws
-  /// must come from rngs[r] and be exactly the draws infer_output would
-  /// take for a unit batch holding row r alone, so a fused micro-batch is
-  /// bitwise row-equal to per-request execution. Default throws — a hook
-  /// opts in via supports_row_streams().
-  virtual void infer_output_rows(Tensor& out, Rng* rngs,
-                                 std::size_t num_streams) const;
+  /// Output noise drawn from `streams` (EvalContext::streams()): stream s
+  /// covers the s-th run of out.dim(0) / streams.size() consecutive batch
+  /// rows (nn::stream_rows) and draws for them exactly what one stream over
+  /// a batch holding only those rows would, so a fused micro-batch is
+  /// bitwise row-equal to per-request execution (DESIGN.md §6).
+  virtual void infer_output(Tensor& out, std::span<Rng> streams) const;
 
-  /// True when (a) infer_input draws nothing from its Rng and (b)
-  /// infer_output_rows is implemented. The serving runtime fuses stochastic
-  /// micro-batches only when every attached hook agrees
-  /// (serve/backend.hpp).
-  virtual bool supports_row_streams() const { return false; }
-
-  /// True when infer_input/infer_output may draw from the caller's Rng in
-  /// the current configuration. Conservative default: any attached hook is
+  /// True when infer_output may draw from the caller's streams in the
+  /// current configuration. Conservative default: any attached hook is
   /// assumed stochastic; hooks whose randomness can be switched off (the
   /// Gaussian hook with noise disabled or sigma == 0) override this. The
   /// serving runtime consults it before fusing micro-batches
@@ -146,14 +142,6 @@ class Hookable {
   /// The latent (pre-binarization) weight parameter, for STE clamping.
   virtual gbo::nn::Param& latent_weight() = 0;
 };
-
-/// True when every live (stochastic) noise hook reachable from `m` — the
-/// module itself and its children, recursively — supports per-sample row
-/// streams. The single capability predicate the serving backends and
-/// HardwareNetwork consult before fusing stochastic micro-batches
-/// (DESIGN.md §6); crossbar engines are always capable, so only an
-/// opted-out hook can veto fusion.
-bool hooks_support_row_streams(const gbo::nn::Module& m);
 
 class QuantConv2d : public gbo::nn::Conv2d, public Hookable {
  public:

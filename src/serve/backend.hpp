@@ -18,17 +18,18 @@
 // quarantine, or exhausted retries. Both are plain Backends — nothing here
 // knows about the ladder; routing is the control plane's job.
 //
-// fusion_mode() tells the server how run() may execute micro-batches.
-// Deterministic backends fuse into one whole-tensor call: every kernel in
-// the infer path computes each batch row independently (row-stable GEMM
-// dispatch, per-sample patch gathers/BN/pooling, elementwise activations), so the
-// fused result is bitwise equal row-for-row to unit-batch execution — the
-// batching-boundary half of the serving determinism contract, enforced by
-// tests/test_serve.cpp. Stochastic configurations fuse too when every
-// noise site supports per-sample row streams (DESIGN.md §6): each batch
-// row draws from its own (seed, request_id) fork, which makes outputs
-// independent of batch composition by construction. Only backends with
-// opaque stochastic state fall back to unit-batch execution.
+// Every backend fuses micro-batches into one whole-tensor run() call, and
+// fusion_mode() tells the server whether that call draws. Deterministic
+// backends draw nothing: every kernel in the infer path computes each batch
+// row independently (row-stable GEMM dispatch, per-sample patch
+// gathers/BN/pooling, elementwise activations), so the fused result is
+// bitwise equal row-for-row to unit-batch execution — the batching-boundary
+// half of the serving determinism contract, enforced by
+// tests/test_serve.cpp. Stochastic backends get one stream per batch row
+// (EvalContext::row_rngs, the (seed, request_id) fork) and every noise site
+// draws row r's noise from its own stream (EvalContext::streams(),
+// DESIGN.md §6), which makes outputs independent of batch composition by
+// construction.
 #pragma once
 
 #include "crossbar/crossbar_layers.hpp"
@@ -40,14 +41,12 @@
 
 namespace gbo::serve {
 
-/// How the server may execute micro-batches (frozen at warmup):
+/// How the server executes micro-batches (frozen at warmup):
 ///   kFused          — run() draws nothing: whole-tensor fusion, no streams.
-///   kFusedPerSample — run() draws, but every stochastic site supports
-///                     per-sample row streams (DESIGN.md §6): batches fuse
-///                     with ctx.row_rngs = fork(seed, request_id) per row,
-///                     bitwise row-equal to per-request execution.
-///   kPerRequest     — opaque stochastic state: unit batches only.
-enum class FusionMode { kFused, kFusedPerSample, kPerRequest };
+///   kFusedPerSample — run() draws: batches fuse with ctx.row_rngs =
+///                     fork(seed, request_id) per row, bitwise row-equal to
+///                     per-request execution (DESIGN.md §6).
+enum class FusionMode { kFused, kFusedPerSample };
 
 class Backend {
  public:
@@ -55,14 +54,12 @@ class Backend {
 
   virtual std::string name() const = 0;
 
-  /// True when run() draws nothing from ctx.rng; enables fused batching.
+  /// True when run() draws nothing from the context's streams.
   virtual bool deterministic() const = 0;
 
-  /// Conservative default: fuse only when fully deterministic. Backends
-  /// whose stochastic sites all honour EvalContext::row_rngs override this
-  /// to kFusedPerSample so noisy configurations batch their GEMMs too.
+  /// Per-row request streams exactly when run() draws.
   virtual FusionMode fusion_mode() const {
-    return deterministic() ? FusionMode::kFused : FusionMode::kPerRequest;
+    return deterministic() ? FusionMode::kFused : FusionMode::kFusedPerSample;
   }
 
   /// Logits for a [B, ...] input batch. Must not mutate shared state.
@@ -86,15 +83,6 @@ class AnalyticBackend : public Backend {
   }
   bool deterministic() const override {
     return !stochastic_ && !module_stochastic(net_);
-  }
-  /// Stochastic configurations still fuse when every live noise hook
-  /// supports per-sample row streams (CrossbarLinear engines always do);
-  /// an opted-out hook falls back to unit batches, never to wrong fusion.
-  FusionMode fusion_mode() const override {
-    if (deterministic()) return FusionMode::kFused;
-    return quant::hooks_support_row_streams(net_)
-               ? FusionMode::kFusedPerSample
-               : FusionMode::kPerRequest;
   }
   Tensor run(const Tensor& x, nn::EvalContext& ctx) const override {
     return net_.infer(x, ctx);
@@ -126,11 +114,6 @@ class PulseBackend : public Backend {
 
   std::string name() const override { return "pulse"; }
   bool deterministic() const override { return hw_.deterministic(); }
-  FusionMode fusion_mode() const override {
-    if (deterministic()) return FusionMode::kFused;
-    return hw_.per_sample_capable() ? FusionMode::kFusedPerSample
-                                    : FusionMode::kPerRequest;
-  }
   Tensor run(const Tensor& x, nn::EvalContext& ctx) const override {
     return hw_.forward(x, ctx);
   }

@@ -131,14 +131,14 @@ struct ServeReport {
   /// batch_hist[b] = number of micro-batches of size b (index 0 unused).
   std::vector<std::size_t> batch_hist;
   double mean_batch = 0.0;
-  /// Backend::run invocations and mean rows per invocation: per-request
-  /// execution pins mean_exec_batch to 1, the fused modes track the
-  /// micro-batcher (mean_batch above counts queue batches in every mode).
+  /// Backend::run invocations and mean rows per invocation; tracks the
+  /// micro-batcher (mean_batch above counts queue batches, which a batch
+  /// mixing routes or versions splits into several calls).
   std::size_t exec_calls = 0;
   double mean_exec_batch = 0.0;
-  /// Execution mode frozen at warmup: "fused", "fused_per_sample" (noisy
-  /// configs batching on per-sample RNG streams, DESIGN.md §6), or
-  /// "per_request". For SLO runs this is the primary backend's mode.
+  /// Execution mode frozen at warmup: "fused" or "fused_per_sample" (noisy
+  /// configs batching on per-request RNG streams, DESIGN.md §6). For SLO
+  /// runs this is the primary backend's mode.
   std::string fusion;
   ArenaSummary arena;
   /// Control-plane ledger; enabled only for SLO runs.

@@ -144,14 +144,12 @@ Executor::Executor(const ServerSpec& spec, bool group)
 void Executor::warmup_backend(const Backend& backend, FusionMode mode) {
   const std::size_t len = dataset_.sample_numel();
   const float* images = dataset_.images.data();
-  // Opaque stochastic backends only ever see unit batches; both fused
-  // modes get their arenas, gather buffers, and row-stream vectors sized
-  // for the largest fused batch too. Warmup also fills the layers'
+  // Arenas, gather buffers, and row-stream vectors are sized for the unit
+  // and the largest fused batch. Warmup also fills the layers'
   // frozen-weight panel caches (prepack-at-deploy, DESIGN.md §6), so the
   // first real request already packs nothing.
   std::vector<std::size_t> sizes{1};
-  if (mode != FusionMode::kPerRequest && cfg_.batch.max_batch > 1)
-    sizes.push_back(cfg_.batch.max_batch);
+  if (cfg_.batch.max_batch > 1) sizes.push_back(cfg_.batch.max_batch);
   for (auto& wp : workers_) {
     Worker& w = *wp;
     for (std::size_t b : sizes) {
@@ -243,48 +241,31 @@ void Executor::exec_rows(Worker& w, const Backend& backend, FusionMode mode,
   if (n == 0) return;
   const std::size_t len = dataset_.sample_numel();
   const float* images = dataset_.images.data();
-  if (mode != FusionMode::kPerRequest) {
-    // Fused whole-tensor execution; row-equal to unit batches by the
-    // kernel row-independence contract (serve/backend.hpp). Stochastic
-    // configurations ride the same call with one request stream per row
-    // (DESIGN.md §6), so their payloads are likewise independent of how
-    // the micro-batcher grouped the requests.
-    w.in_shape[0] = n;
-    w.gather.resize(w.in_shape);
-    float* g = w.gather.data();
+  // Fused whole-tensor execution; row-equal to unit batches by the kernel
+  // row-independence contract (serve/backend.hpp). Stochastic backends ride
+  // the same call with one request stream per row (DESIGN.md §6), so their
+  // payloads are likewise independent of how the micro-batcher grouped the
+  // requests.
+  w.in_shape[0] = n;
+  w.gather.resize(w.in_shape);
+  float* g = w.gather.data();
+  for (std::size_t i = 0; i < n; ++i)
+    std::copy(images + group[i].sample * len,
+              images + (group[i].sample + 1) * len, g + i * len);
+  if (mode == FusionMode::kFusedPerSample) {
+    w.ctx.row_rngs.resize(n);  // capacity warmed at max_batch
     for (std::size_t i = 0; i < n; ++i)
-      std::copy(images + group[i].sample * len,
-                images + (group[i].sample + 1) * len, g + i * len);
-    if (mode == FusionMode::kFusedPerSample) {
-      w.ctx.row_rngs.resize(n);  // capacity warmed at max_batch
-      for (std::size_t i = 0; i < n; ++i)
-        w.ctx.row_rngs[i] = root_.fork(group[i].id);
-    }
-    Tensor logits = backend.run(w.gather, w.ctx);
-    const float* rows = logits.data();
-    for (std::size_t i = 0; i < n; ++i)
-      std::copy(rows + i * out_dim_, rows + (i + 1) * out_dim_,
-                out_rows + group[i].id * out_dim_);
-    w.ctx.recycle(std::move(logits));
-    ++w.exec_calls;
+      w.ctx.row_rngs[i] = root_.fork(group[i].id);
   } else {
-    // Per-request execution on the (seed, request id) fork: the noise
-    // stream — and therefore the payload — is independent of how the
-    // micro-batcher grouped the requests.
-    w.in_shape[0] = 1;
-    w.gather.resize(w.in_shape);
-    float* g = w.gather.data();
-    for (std::size_t i = 0; i < n; ++i) {
-      const Request& r = group[i];
-      std::copy(images + r.sample * len, images + (r.sample + 1) * len, g);
-      w.ctx.rng = root_.fork(r.id);
-      Tensor logits = backend.run(w.gather, w.ctx);
-      std::copy(logits.data(), logits.data() + out_dim_,
-                out_rows + r.id * out_dim_);
-      w.ctx.recycle(std::move(logits));
-      ++w.exec_calls;
-    }
+    w.ctx.row_rngs.clear();  // a deterministic backend draws nothing
   }
+  Tensor logits = backend.run(w.gather, w.ctx);
+  const float* rows = logits.data();
+  for (std::size_t i = 0; i < n; ++i)
+    std::copy(rows + i * out_dim_, rows + (i + 1) * out_dim_,
+              out_rows + group[i].id * out_dim_);
+  w.ctx.recycle(std::move(logits));
+  ++w.exec_calls;
 }
 
 void Executor::process_batch(
@@ -441,9 +422,7 @@ RouterReport Executor::execute(const std::vector<Arrival>& trace,
     w->shed_log.clear();
     w->retried = w->faults = w->fallbacks = w->degraded = w->stalls = 0;
   }
-  srep.fusion = mode_ == FusionMode::kFused ? "fused"
-                : mode_ == FusionMode::kFusedPerSample ? "fused_per_sample"
-                                                       : "per_request";
+  srep.fusion = mode_ == FusionMode::kFused ? "fused" : "fused_per_sample";
 
   const std::size_t num_requests = trace.size();
   srep.requests = num_requests;

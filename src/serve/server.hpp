@@ -27,12 +27,11 @@
 // same payloads, which is the point: outputs depend only on
 // (seed, request id), never on worker count, pool size, or batching.
 //
-// Execution modes (serve/backend.hpp FusionMode, frozen at warmup):
-// deterministic backends fuse each micro-batch into one whole-tensor call;
-// stochastic backends whose noise sites honour per-sample row streams fuse
-// too, with ctx.row_rngs[i] = root.fork(request id) per row (DESIGN.md §6)
-// — bitwise row-equal to unit execution either way; only opaque stochastic
-// backends fall back to unit batches under ctx.rng = root.fork(request id).
+// Execution modes (serve/backend.hpp FusionMode, frozen at warmup): every
+// micro-batch executes as one whole-tensor call; a stochastic backend's
+// call carries ctx.row_rngs[i] = root.fork(request id) per row, and every
+// noise site draws row i's noise from that stream (EvalContext::streams(),
+// DESIGN.md §6) — bitwise row-equal to unit execution either way.
 // Responses land in pre-sized per-request slots, so workers never contend
 // on result storage.
 #pragma once
@@ -234,8 +233,8 @@ class Executor {
   std::size_t out_dim_ = 0;
   bool warmed_ = false;
   // Fusion modes frozen at warmup (primary and degraded backends).
-  FusionMode mode_ = FusionMode::kPerRequest;
-  FusionMode dmode_ = FusionMode::kPerRequest;
+  FusionMode mode_ = FusionMode::kFused;
+  FusionMode dmode_ = FusionMode::kFused;
 };
 
 }  // namespace detail

@@ -248,10 +248,10 @@ TEST(ScratchArena, PulseLevelEngineBitwiseWithArena) {
 
   Rng ra(31), rb(31);
   ScratchArena arena;
-  const Tensor plain = engine.run_pulse_level(x, ra);
+  const Tensor plain = engine.run_pulse_level(x, {&ra, 1});
   for (int pass = 0; pass < 2; ++pass) {
     Rng r = rb;  // replay the same stream each pass
-    Tensor got = engine.run_pulse_level(x, r, &arena);
+    Tensor got = engine.run_pulse_level(x, {&r, 1}, &arena);
     expect_bitwise_equal(plain, got);
     arena.put(std::move(got));
   }

@@ -6,6 +6,8 @@
 #include "core/pipeline.hpp"
 #include "crossbar/crossbar_layers.hpp"
 #include "data/synth_cifar.hpp"
+#include "gbo/gbo.hpp"
+#include "gbo/gumbel.hpp"
 #include "models/mlp.hpp"
 #include "models/resnet.hpp"
 #include "models/vgg9.hpp"
@@ -118,8 +120,20 @@ TEST(EvalContext, TrainingOnlyHookRejectsStatelessInference) {
   } hook;
   Tensor out({2, 2});
   Rng rng(1);
-  EXPECT_NO_THROW(hook.infer_input(out, rng));  // default: pass-through
-  EXPECT_THROW(hook.infer_output(out, rng), std::logic_error);
+  EXPECT_NO_THROW(hook.infer_input(out));  // default: pass-through
+  EXPECT_THROW(hook.infer_output(out, {&rng, 1}), std::logic_error);
+
+  // The λ-training states keep the throwing default, under one stream and
+  // under one stream per row alike.
+  std::vector<Rng> rows(2, Rng(2));
+  const opt::GboLayerState gbo_state(opt::GboConfig{}, Rng(3));
+  const opt::GumbelLayerState gumbel_state(opt::GumbelConfig{}, Rng(4));
+  for (const quant::MvmNoiseHook* h :
+       {static_cast<const quant::MvmNoiseHook*>(&gbo_state),
+        static_cast<const quant::MvmNoiseHook*>(&gumbel_state)}) {
+    EXPECT_THROW(h->infer_output(out, {&rng, 1}), std::logic_error);
+    EXPECT_THROW(h->infer_output(out, rows), std::logic_error);
+  }
 }
 
 // ---- trial-parallel vs sequential oracle ---------------------------------

@@ -228,22 +228,17 @@ TEST(MvmEngine, FusedPulsePathMatchesReferenceBitwiseAtAnyThreadCount) {
 // dot product per pulse (DESIGN.md §12). The certificate makes those sums
 // exact, so the result must equal the per-pulse reference bit for bit.
 
-/// Runs `cfg` fused at 1 and 4 threads, unsharded and sharded, against the
-/// single-thread reference; returns whether the array took the level-bucket
-/// path.
-bool expect_fused_matches_reference(const Tensor& w, MvmConfig cfg,
+/// Runs `cfg` fused at 1 and 4 threads against the single-thread
+/// reference; returns whether the array took the level-bucket path.
+bool expect_fused_matches_reference(const Tensor& w, const MvmConfig& cfg,
                                     const Tensor& x, const std::string& name) {
   const Tensor ref = run_with_threads(w, cfg, x, 1, /*fused=*/false);
-  for (std::size_t shard : {std::size_t{0}, std::size_t{4}}) {
-    cfg.shard_cols = shard;
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      const Tensor fused = run_with_threads(w, cfg, x, threads, /*fused=*/true);
-      EXPECT_TRUE(fused.same_shape(ref)) << name;
-      EXPECT_EQ(0, std::memcmp(fused.data(), ref.data(),
-                               ref.numel() * sizeof(float)))
-          << name << " diverges at " << threads << " thread(s), shard_cols "
-          << shard;
-    }
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const Tensor fused = run_with_threads(w, cfg, x, threads, /*fused=*/true);
+    EXPECT_TRUE(fused.same_shape(ref)) << name;
+    EXPECT_EQ(0, std::memcmp(fused.data(), ref.data(),
+                             ref.numel() * sizeof(float)))
+        << name << " diverges at " << threads << " thread(s)";
   }
   return MvmEngine(w, cfg, Rng(42)).array().exact_tile_sums();
 }
@@ -334,8 +329,7 @@ TEST(MvmEngine, PerSampleStreamsMatchPerRequestGroupsBitwise) {
     Rng root(39);
     std::vector<Rng> rngs;
     for (std::size_t s = 0; s < streams; ++s) rngs.push_back(root.fork(s));
-    const Tensor fused =
-        engine.run_pulse_level(x, rngs.data(), rngs.size());
+    const Tensor fused = engine.run_pulse_level(x, rngs);
     ASSERT_EQ(fused.dim(0), group * streams);
     const std::size_t out = fused.dim(1);
     for (std::size_t s = 0; s < streams; ++s) {
@@ -343,7 +337,7 @@ TEST(MvmEngine, PerSampleStreamsMatchPerRequestGroupsBitwise) {
       std::copy(x.data() + s * group * in, x.data() + (s + 1) * group * in,
                 xs.data());
       Rng r = root.fork(s);
-      const Tensor alone = engine.run_pulse_level(xs, r);
+      const Tensor alone = engine.run_pulse_level(xs, {&r, 1});
       EXPECT_EQ(0, std::memcmp(alone.data(), fused.data() + s * group * out,
                                group * out * sizeof(float)))
           << "stream " << s << " at " << threads << " thread(s)";
@@ -353,8 +347,8 @@ TEST(MvmEngine, PerSampleStreamsMatchPerRequestGroupsBitwise) {
 
   // Degenerate-stream guards.
   Rng r(1);
-  EXPECT_THROW(engine.run_pulse_level(x, &r, 0), std::invalid_argument);
-  EXPECT_THROW(engine.run_pulse_level(x, &r, 5), std::invalid_argument);
+  EXPECT_THROW(engine.run_pulse_level(x, {&r, 0}), std::invalid_argument);
+  EXPECT_THROW(engine.run_pulse_level(x, {&r, 5}), std::invalid_argument);
 }
 
 TEST(MvmEngine, ZeroRowBatchWorksEvenWithReadNoise) {

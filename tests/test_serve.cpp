@@ -7,6 +7,10 @@
 #include "crossbar/crossbar_layers.hpp"
 #include "crossbar/hw_deploy.hpp"
 #include "models/mlp.hpp"
+#include "nn/activations.hpp"
+#include "nn/batchnorm.hpp"
+#include "nn/pooling.hpp"
+#include "quant/act_quant.hpp"
 #include "serve/server.hpp"
 #include "tensor/ops.hpp"
 
@@ -194,9 +198,8 @@ TEST(ServeRuntime, NoisyAnalyticPayloadsMatchWorkerCountsAndOracle) {
 
   EXPECT_EQ(rep1.completed, trace.size());
   EXPECT_EQ(rep4.completed, trace.size());
-  // The Gaussian hooks support per-sample row streams, so this stochastic
-  // config must fuse micro-batches (DESIGN.md §6) instead of degenerating
-  // to unit-batch execution — while matching the unchanged oracle below.
+  // This stochastic config must fuse micro-batches on per-request streams
+  // (DESIGN.md §6) — while matching the unchanged oracle below.
   // (Observed batch sizes are timing-dependent, so the mode string is the
   // deterministic regression gate; bench_serve additionally gates
   // mean_exec_batch > 1 under its controlled traces.)
@@ -275,8 +278,8 @@ TEST(ServeRuntime, PulseBackendPayloadsMatchWorkerCounts) {
 }
 
 TEST(ServeRuntime, PulseNoisyFusedMatchesPerRequestOracle) {
-  // A deployed network with live read/output noise: the engines support
-  // per-sample streams, so the server fuses micro-batches — and every
+  // A deployed network with live read/output noise: the server fuses
+  // micro-batches on per-request streams — and every
   // request's payload must still equal one stateless pulse-level forward
   // under the classic single-stream (seed, request id) fork.
   ThreadGuard guard;
@@ -295,7 +298,6 @@ TEST(ServeRuntime, PulseNoisyFusedMatchesPerRequestOracle) {
   hw_cfg.device.adc_bits = 8;
   xbar::HardwareNetwork hw(*m.net, m.encoded, hw_cfg);
   ASSERT_GT(hw.num_crossbar_layers(), 0u);
-  ASSERT_TRUE(hw.per_sample_capable());
   serve::PulseBackend pulse(hw);
   EXPECT_FALSE(pulse.deterministic());
 
@@ -316,6 +318,151 @@ TEST(ServeRuntime, PulseNoisyFusedMatchesPerRequestOracle) {
     for (std::size_t j = 0; j < want.numel(); ++j)
       ASSERT_EQ(want[j], fused.outputs.at(r, j)) << "request " << r;
   }
+}
+
+// ---- conv-net row streams --------------------------------------------------
+//
+// A VGG9-shaped conv net (QuantConv2d -> BN -> QuantTanh -> MaxPool ->
+// QuantLinear) under live noise. Its conv site splits each request stream
+// over a sample's whole feature map (analytic hook) or over the sample's
+// oh·ow patch rows (pulse engine), so a fused batch must still give every
+// row the draws of a unit call (DESIGN.md §6).
+
+struct ConvNet {
+  std::unique_ptr<nn::Sequential> net;
+  std::vector<quant::Hookable*> encoded;
+};
+
+ConvNet conv_model() {
+  Rng rng(91);
+  ConvNet m;
+  m.net = std::make_unique<nn::Sequential>();
+  ConvGeom g;
+  g.in_c = 2;
+  g.in_h = 6;
+  g.in_w = 6;
+  g.k = 3;
+  g.stride = 1;
+  g.pad = 1;
+  auto* conv = m.net->emplace<quant::QuantConv2d>(4, g, rng);
+  m.net->emplace<nn::BatchNorm2d>(4);
+  m.net->emplace<quant::QuantTanh>(9);
+  m.net->emplace<nn::MaxPool2d>(2);
+  m.net->emplace<nn::Flatten>();
+  auto* fc = m.net->emplace<quant::QuantLinear>(4 * 3 * 3, 5, rng);
+  m.net->set_training(false);
+  m.encoded = {conv, fc};
+  return m;
+}
+
+xbar::HwDeployConfig noisy_hw_config() {
+  xbar::HwDeployConfig cfg;
+  cfg.sigma = 0.5;
+  cfg.device.read_noise_sigma = 0.05;
+  cfg.device.adc_bits = 8;
+  return cfg;
+}
+
+/// Rows [first, first + n) of a [B, ...] tensor as an [n, ...] batch.
+Tensor take_rows(const Tensor& t, std::size_t first, std::size_t n) {
+  std::vector<std::size_t> shape = t.shape();
+  const std::size_t len = t.numel() / shape[0];
+  shape[0] = n;
+  Tensor out(shape);
+  std::copy(t.data() + first * len, t.data() + (first + n) * len, out.data());
+  return out;
+}
+
+/// Runs `infer` over `x` once with `streams` row streams fork(s), stream s
+/// covering x.dim(0) / streams consecutive rows, and expects each stream's
+/// rows bitwise equal to a call over just those rows under the single
+/// stream fork(s).
+template <typename Infer>
+void expect_streams_match_unit_calls(Infer&& infer, const Tensor& x,
+                                     std::size_t streams, const char* what) {
+  Rng root(kServeSeed);
+  nn::EvalContext fused_ctx;
+  for (std::size_t s = 0; s < streams; ++s)
+    fused_ctx.row_rngs.push_back(root.fork(s));
+  const Tensor fused = infer(x, fused_ctx);
+  const std::size_t rows = x.dim(0) / streams;
+  const std::size_t out_len = fused.numel() / x.dim(0);
+  for (std::size_t s = 0; s < streams; ++s) {
+    nn::EvalContext ctx(root.fork(s));
+    const Tensor alone = infer(take_rows(x, s * rows, rows), ctx);
+    ASSERT_EQ(alone.numel(), rows * out_len) << what;
+    for (std::size_t j = 0; j < alone.numel(); ++j)
+      ASSERT_EQ(alone[j], fused[s * rows * out_len + j])
+          << what << ": stream " << s << " of " << streams << ", element "
+          << j;
+  }
+}
+
+TEST(ServeRuntime, ConvNetRowStreamsMatchUnitCalls) {
+  ThreadGuard guard;
+  ConvNet m = conv_model();
+  Rng crng(92);
+  xbar::LayerNoiseController ctrl(m.encoded, /*sigma=*/1.0,
+                                  /*base_pulses=*/8, crng);
+  ctrl.attach();
+  ctrl.set_enabled_all(true);
+  xbar::HardwareNetwork hw(*m.net, m.encoded, noisy_hw_config());
+  auto analytic = [&](const Tensor& x, nn::EvalContext& ctx) {
+    return m.net->infer(x, ctx);
+  };
+  auto pulse = [&](const Tensor& x, nn::EvalContext& ctx) {
+    return hw.forward(x, ctx);
+  };
+  const Tensor x = random_tensor({8, 2, 6, 6}, 93);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool::instance().set_num_threads(threads);
+    // One row per stream (a fused micro-batch), then two.
+    for (std::size_t streams : {std::size_t{8}, std::size_t{4}}) {
+      expect_streams_match_unit_calls(analytic, x, streams, "analytic");
+      expect_streams_match_unit_calls(pulse, x, streams, "pulse");
+    }
+  }
+  ctrl.detach();
+}
+
+TEST(ServeRuntime, ConvNetFusedServingMatchesPerRequestOracle) {
+  // Both backends over the conv net must serve fused on per-request
+  // streams, every payload equal to a unit-batch call under fork(id).
+  ThreadGuard guard;
+  ConvNet m = conv_model();
+  Rng crng(94);
+  xbar::LayerNoiseController ctrl(m.encoded, /*sigma=*/1.0,
+                                  /*base_pulses=*/8, crng);
+  ctrl.attach();
+  ctrl.set_enabled_all(true);
+  xbar::HardwareNetwork hw(*m.net, m.encoded, noisy_hw_config());
+  serve::AnalyticBackend analytic(*m.net, /*stochastic=*/true);
+  serve::PulseBackend pulse(hw);
+  data::Dataset ds;
+  ds.images = random_tensor({16, 2, 6, 6}, 95);
+  ds.labels.assign(16, 0);
+  const auto trace = serve_trace(24, ds.size());
+
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool::instance().set_num_threads(threads);
+    for (const serve::Backend* backend :
+         {static_cast<const serve::Backend*>(&analytic),
+          static_cast<const serve::Backend*>(&pulse)}) {
+      const auto rep = run_server(*backend, ds, trace, threads, 8);
+      EXPECT_EQ(rep.fusion, "fused_per_sample") << backend->name();
+      Rng root(kServeSeed);
+      for (std::size_t r = 0; r < trace.size(); ++r) {
+        const Tensor x = take_rows(ds.images, trace[r].sample, 1);
+        nn::EvalContext ctx(root.fork(r));
+        const Tensor want = backend->run(x, ctx);
+        for (std::size_t j = 0; j < want.numel(); ++j)
+          ASSERT_EQ(want[j], rep.outputs.at(r, j))
+              << backend->name() << " request " << r << " at " << threads
+              << " thread(s)";
+      }
+    }
+  }
+  ctrl.detach();
 }
 
 TEST(ServeRuntime, SteadyStateRunsDoNotGrowArenas) {

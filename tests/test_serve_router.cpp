@@ -1,14 +1,10 @@
-// Sharded multi-replica serving (DESIGN.md §10): the deterministic routing
+// Multi-replica serving (DESIGN.md §10): the deterministic routing
 // function, route_plan()'s autoscale/outage ledger, the 1-vs-N-worker
-// routing fingerprint contract of ReplicaGroup::run, column-sharded
-// crossbar execution bitwise equal to the unsharded sweep, the ServerSpec
+// routing fingerprint contract of ReplicaGroup::run, the ServerSpec
 // builder (validation in one pass, equivalence with the deprecated
-// constructors), and the replica-outage reroute built on the PR 6 fault
-// injector.
+// constructors), and the replica-outage reroute built on the fault
+// injector (serve/fault.hpp).
 #include "common/thread_pool.hpp"
-#include "crossbar/hw_deploy.hpp"
-#include "crossbar/mapper.hpp"
-#include "crossbar/mvm_engine.hpp"
 #include "models/mlp.hpp"
 #include "serve/policy.hpp"
 #include "serve/router.hpp"
@@ -48,86 +44,6 @@ void expect_bitwise_equal(const Tensor& a, const Tensor& b) {
   ASSERT_EQ(a.shape(), b.shape());
   for (std::size_t i = 0; i < a.numel(); ++i)
     ASSERT_EQ(a[i], b[i]) << "i=" << i;
-}
-
-// ---- column sharding ------------------------------------------------------
-
-TEST(CrossbarSharding, ColumnShardsCoverAscendingDisjoint) {
-  xbar::TileShape tile;
-  tile.cols = 16;
-  const auto shards = xbar::column_shards(40, tile);
-  ASSERT_EQ(shards.size(), 3u);
-  EXPECT_EQ(shards[0], (std::pair<std::size_t, std::size_t>{0, 16}));
-  EXPECT_EQ(shards[1], (std::pair<std::size_t, std::size_t>{16, 32}));
-  EXPECT_EQ(shards[2], (std::pair<std::size_t, std::size_t>{32, 40}));
-
-  // tile.cols == 0 or >= fan_out: a single shard, no split.
-  tile.cols = 0;
-  EXPECT_EQ(xbar::column_shards(40, tile).size(), 1u);
-  tile.cols = 64;
-  EXPECT_EQ(xbar::column_shards(40, tile).size(), 1u);
-  EXPECT_THROW(xbar::column_shards(0, tile), std::invalid_argument);
-}
-
-xbar::MvmConfig noisy_mvm_config(enc::Scheme scheme) {
-  xbar::MvmConfig cfg;
-  cfg.spec = enc::EncodingSpec{scheme, 8};
-  cfg.sigma = 0.5;
-  cfg.device.read_noise_sigma = 0.05;
-  cfg.device.adc_bits = 8;
-  cfg.device.program_variation = 0.05;
-  return cfg;
-}
-
-TEST(CrossbarSharding, ShardedPulseSweepBitwiseEqualsUnsharded) {
-  Tensor w = random_tensor({40, 24}, 61);
-  for (std::size_t i = 0; i < w.numel(); ++i)
-    w.data()[i] = w.data()[i] >= 0.0f ? 0.5f : -0.5f;
-  const Tensor x = random_tensor({6, 24}, 63);
-  for (const auto scheme : {enc::Scheme::kThermometer, enc::Scheme::kBitSlicing}) {
-    const xbar::MvmConfig base = noisy_mvm_config(scheme);
-    xbar::MvmEngine plain(w, base, Rng(77));
-    // Shard widths that divide, straddle, and exceed the fan-out: every
-    // geometry must reproduce the unsharded bits (the read-noise indexing
-    // is keyed by global coordinates, so a range-restricted sweep draws
-    // the identical values).
-    for (const std::size_t shard : {8u, 16u, 17u, 40u, 64u}) {
-      xbar::MvmConfig scfg = base;
-      scfg.shard_cols = shard;
-      xbar::MvmEngine sharded(w, scfg, Rng(77));
-      Rng r1(5), r2(5);
-      const Tensor a = plain.run_pulse_level(x, r1);
-      const Tensor b = sharded.run_pulse_level(x, r2);
-      expect_bitwise_equal(a, b);
-    }
-  }
-}
-
-TEST(CrossbarSharding, ShardedDeployedNetworkBitwiseEqualsUnsharded) {
-  models::MlpConfig mcfg;
-  mcfg.in_features = 24;
-  mcfg.hidden = {32, 32};
-  mcfg.num_classes = 10;
-  mcfg.seed = 21;
-  models::Mlp net_a = models::build_mlp(mcfg);
-  net_a.net->set_training(false);
-  models::Mlp net_b = models::build_mlp(mcfg);
-  net_b.net->set_training(false);
-
-  xbar::HwDeployConfig hcfg;
-  hcfg.sigma = 0.5;
-  hcfg.device.read_noise_sigma = 0.05;
-  hcfg.device.adc_bits = 8;
-  hcfg.device.program_variation = 0.05;
-  xbar::HardwareNetwork plain(*net_a.net, net_a.encoded, hcfg);
-  xbar::HwDeployConfig scfg = hcfg;
-  scfg.shard_cols = 16;
-  xbar::HardwareNetwork sharded(*net_b.net, net_b.encoded, scfg);
-
-  const Tensor batch = random_tensor({8, mcfg.in_features}, 65);
-  nn::EvalContext ctx_a(Rng(9)), ctx_b(Rng(9));
-  expect_bitwise_equal(plain.forward(batch, ctx_a),
-                       sharded.forward(batch, ctx_b));
 }
 
 // ---- the routing function -------------------------------------------------

@@ -79,10 +79,8 @@ shed-set fingerprints must be identical — the cross-pool half of the
 shed-set determinism contract.
 
 For BENCH_serve_router*.json files ("bench": "serve_router"), the
-multi-replica routing contract (DESIGN.md S10) is gated: the document's
-"sharded_mvm" section must show the column-sharded crossbar sweep bitwise
-equal to the unsharded one at both the engine and the deployed-network
-level, and every router scenario must satisfy
+multi-replica routing contract (DESIGN.md S10) is gated: every router
+scenario must satisfy
 
     router_payload_match    payloads bitwise identical at 1 and N workers
                             per replica
@@ -185,11 +183,6 @@ SERVE_ROUTER_GATES = [
     "outage_rerouted",
     "autoscale_bounded",
     "overload_exercised",
-]
-
-SHARDED_MVM_GATES = [
-    "engine_bitwise_sharded_vs_unsharded",
-    "network_bitwise_sharded_vs_unsharded",
 ]
 
 SERVE_SWAP_GATES = [
@@ -363,15 +356,6 @@ def check_serve_router(path, doc, router_fingerprints, trace_fingerprints):
     failures = check_serve_doc_keys(path, doc)
     if doc.get("gates_ok") is not True:
         failures.append(f"{path}: gates_ok is {doc.get('gates_ok')!r}")
-    sharded = doc.get("sharded_mvm")
-    if not isinstance(sharded, dict):
-        failures.append(f"{path}: sharded_mvm section missing")
-    else:
-        for gate in SHARDED_MVM_GATES:
-            if sharded.get(gate) is not True:
-                failures.append(
-                    f"{path}: sharded_mvm.{gate} is {sharded.get(gate)!r}, "
-                    "expected true")
     scenarios = serve_scenarios(doc)
     if not scenarios:
         failures.append(f"{path}: no serve_router scenarios found")
